@@ -35,11 +35,11 @@ from .inverse import (
     RestrictionCache,
     SchurBlocks,
     TransitionKernel,
-    exact_inverse,
     neumann_check,
     potentials,
     schur_blocks,
     transition_kernel,
+    tree_masses,
     verify_mass_recursion,
 )
 from .kernels import BACKEND
@@ -90,8 +90,8 @@ __all__ = [
     "validate_annotation",
     "random_instance",
     # inversion
-    "exact_inverse",
     "potentials",
+    "tree_masses",
     "PotentialReport",
     "RestrictionCache",
     "SchurBlocks",

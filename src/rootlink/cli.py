@@ -130,7 +130,6 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         if count.failures:
             line += f", {count.failures} FAILED"
         print(line)
-    print(f"reading divergences (diagnostic): {outcome.reading_divergences}")
     print(f"elapsed: {outcome.elapsed:.2f}s")
     if outcome.ok:
         print("self-test passed")

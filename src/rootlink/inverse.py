@@ -1,10 +1,12 @@
-"""Exact inversion reports: potentials, root-split block formulas, kernels.
+"""Exact inversion reports: potentials, tree masses, root-split blocks, kernels.
 
-The elimination-based :meth:`RationalMatrix.inverse` is the ground truth;
-the closed-form block decomposition at the root split and the mass
-recursion are verification layers cross-checked against it.  The
-transition kernel ``P = I - (1/eta) * inverse`` and its Neumann partial
-sums round out the probabilistic reading of the inverse.
+The elimination-based :meth:`RationalMatrix.inverse` is the ground truth
+and the only inverse.  The total mass of every node's restriction comes
+without inversion from the tree recursion (:func:`tree_masses`); it and
+the closed-form block decomposition at the root split are cross-checked
+against the elimination inverse.  The transition kernel
+``P = I - (1/eta) * inverse`` and its Neumann partial sums round out the
+probabilistic reading of the inverse.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .matrix import Rational, RationalMatrix, to_fraction
 __all__ = [
     "PotentialReport",
     "potentials",
-    "exact_inverse",
+    "tree_masses",
     "RestrictionCache",
     "SchurBlocks",
     "schur_blocks",
@@ -58,25 +60,75 @@ def potentials(minv: RationalMatrix) -> PotentialReport:
     return PotentialReport(mu, nu, sum(mu, Fraction(0)))
 
 
-def exact_inverse(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse by fraction-free elimination (the oracle for all checks)."""
-    return m.inverse()
+def tree_masses(tm: TreeMatrix, node: Optional[str] = None) -> dict[str, Fraction]:
+    """Total inverse mass of the restriction at every node below ``node``.
+
+    Computed bottom-up from the tree, with no inversion:
+
+    * a leaf has mass ``1/alpha``;
+    * a spine node has mass ``1/U[n,n]`` (its restriction keeps the
+      constant fixed-leaf row), which is the mass of its plus child;
+    * an off-spine node ``t`` with children ``a``, ``b`` restricts to
+      ``[[U_a, alpha*J], [beta*J, U_b]]``, so
+      ``m_t = (m_a(1 - alpha m_b) + m_b(1 - beta m_a)) / (1 - alpha beta m_a m_b)``.
+
+    ``det U`` is the product of the leaf values, the spine factors
+    ``1 - alpha*m_minus`` and the off-spine denominators, so a vanishing
+    one raises :class:`SingularMatrixError` naming its node exactly when
+    some restriction below ``node`` is singular.  The masses are those of
+    ``tm``'s restrictions whenever its fixed-leaf row is constant, as it is
+    for every matrix :func:`~rootlink.build.build_matrix` makes.
+    """
+    tree = tm.tree
+    top = tree.root if node is None else node
+    lo, hi = tree.leaf_span(top)
+    start = tree.preorder.index(top)
+    masses: dict[str, Fraction] = {}
+    # A subtree is a contiguous run of 2k - 1 nodes in preorder.
+    for t in reversed(tree.preorder[start : start + 2 * (hi - lo) - 1]):
+        kids = tree.children(t)
+        alpha = tm.alpha(t)
+        if not kids:
+            if alpha == 0:
+                raise SingularMatrixError(f"leaf value vanishes at node {t!r}")
+            masses[t] = 1 / alpha
+            continue
+        m_a, m_b = masses[kids[0]], masses[kids[1]]
+        if tree.on_spine(t):
+            if 1 - alpha * m_a == 0:
+                raise SingularMatrixError(
+                    f"spine denominator vanishes at node {t!r}"
+                )
+            masses[t] = m_b
+            continue
+        beta = tm.beta(t)
+        denom = 1 - alpha * beta * m_a * m_b
+        if denom == 0:
+            raise SingularMatrixError(
+                f"off-spine denominator vanishes at node {t!r}"
+            )
+        masses[t] = (m_a * (1 - alpha * m_b) + m_b * (1 - beta * m_a)) / denom
+    return masses
 
 
 class RestrictionCache:
-    """Memoized restrictions, inverses and potentials per tree node.
+    """Memoized restrictions, elimination inverses and potentials per tree node.
 
-    Root, exit and link analyses all consult sub-block inverses repeatedly;
-    one cache per instance keeps that from going quadratic in practice.
+    This is the oracle side: every inverse here comes from elimination.
+    Pass ``inverse`` when the full matrix is already inverted, so the root
+    is never inverted again.
     """
 
     __slots__ = ("tm", "_restricted", "_inverse", "_potential")
 
-    def __init__(self, tm: TreeMatrix):
+    def __init__(self, tm: TreeMatrix, inverse: Optional[RationalMatrix] = None):
         self.tm = tm
         self._restricted: dict[str, TreeMatrix] = {tm.tree.root: tm}
         self._inverse: dict[str, RationalMatrix] = {}
         self._potential: dict[str, PotentialReport] = {}
+        if inverse is not None:
+            self._inverse[tm.tree.root] = inverse
+            self._potential[tm.tree.root] = potentials(inverse)
 
     def restricted(self, node: str) -> TreeMatrix:
         try:
@@ -282,7 +334,8 @@ def transition_kernel(
     admissible value).  A smaller eta drives a diagonal entry of P negative
     and raises :class:`EtaTooSmallError`.  Off-diagonal negativity or a
     column sum above one means ``minv`` is not the inverse of a supported
-    matrix and raises :class:`ValueError`.
+    matrix and raises :class:`ValueError` (which
+    :func:`~rootlink.report.build_report` reports as a theorem mismatch).
     """
     if minv.nrows != minv.ncols:
         raise ValueError(f"matrix is not square: {minv.shape}")

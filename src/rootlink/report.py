@@ -3,10 +3,12 @@
 A report gathers every analysis for one instance into a plain dict whose
 numbers are exact rational strings (floats appear only in the optional
 Neumann gap diagnostics).  Rendering is deterministic: the same instance
-and flags always produce byte-identical output.  Structural verdicts are
-cross-checked against the elimination inverse while the report is built;
-any disagreement raises :class:`~rootlink.errors.TheoremMismatchError`
-carrying a counterexample dump instead of emitting a wrong document.
+and flags always produce byte-identical output.  The matrix is inverted
+exactly once; structural verdicts, the tree-recursion masses behind the
+exit inequality and the transition kernel are cross-checked against that
+inverse while the report is built, and any disagreement raises
+:class:`~rootlink.errors.TheoremMismatchError` carrying a counterexample
+dump instead of emitting a wrong document.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .build import Annotation, TreeMatrix
-from .errors import TheoremMismatchError
-from .inverse import neumann_check, potentials, transition_kernel
+from .errors import EtaTooSmallError, TheoremMismatchError
+from .inverse import RestrictionCache, neumann_check, transition_kernel
 from .links import link_matrix, zero_pattern
 from .matrix import Rational, RationalMatrix
 from .roots import StructureSets, build_structure_sets, roots_structural, roots_transpose
@@ -55,19 +57,30 @@ def build_report(
 ) -> dict:
     """Assemble the full report document for one instance.
 
-    Raises ``SingularMatrixError`` when the matrix (or a restriction used
-    by the exit inequality) is singular, ``EtaTooSmallError`` for an
+    Raises ``SingularMatrixError`` when the matrix is singular (its
+    restrictions are then nonsingular too), ``EtaTooSmallError`` for an
     inadmissible ``eta``, and ``TheoremMismatchError`` when any structural
-    verdict disagrees with the inverse.
+    verdict, the exit identity or the kernel's sign shape disagrees with
+    the inverse.
     """
     tree = tm.tree
     leaves = tm.leaves
     minv = tm.matrix.inverse()
-    pot = potentials(minv)
+    cache = RestrictionCache(tm, minv)
+    pot = cache.potential(tree.root)
     sets = build_structure_sets(tree, tm.annotation)
-    structural = roots_structural(tm, sets)
+    structural = roots_structural(tm, sets, cache=cache)
     exit_report = structural.exit
     assert exit_report is not None  # the root restriction is the matrix itself
+    if not exit_report.identity_ok:
+        raise TheoremMismatchError(
+            _counterexample(
+                tm,
+                minv,
+                f"fixed-leaf row sum {exit_report.last_row_sum} != "
+                f"lhs - rhs = {exit_report.lhs} - {exit_report.rhs}",
+            )
+        )
 
     oracle_roots = frozenset(
         leaf for leaf, m in zip(leaves, pot.mu) if m > 0
@@ -119,7 +132,14 @@ def build_report(
                 )
             )
 
-    kernel = transition_kernel(minv, eta)
+    try:
+        kernel = transition_kernel(minv, eta)
+    except EtaTooSmallError:
+        raise
+    except ValueError as exc:
+        raise TheoremMismatchError(
+            _counterexample(tm, minv, f"transition kernel: {exc}")
+        ) from exc
 
     doc: dict = {
         "leaves": list(leaves),

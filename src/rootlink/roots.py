@@ -6,7 +6,8 @@ of the opposite child subtree; spine nodes additionally contribute their
 minus edge to ``gamma_t`` unconditionally.  A leaf is then a structural
 root of a node's restriction exactly when its path up to that node avoids
 the relevant edge set — except for the fixed leaf of a spine restriction,
-whose verdict comes from an exact scalar inequality over the spine masses.
+whose verdict comes from an exact scalar inequality over the spine masses
+(taken from the tree recursion, not from inversion).
 All structural verdicts are cross-checked against the elimination inverse
 by the self-test suites.
 """
@@ -20,11 +21,10 @@ from typing import Optional
 from .build import Annotation, TreeMatrix, validate_annotation
 from .errors import (
     InvalidAnnotationError,
-    SingularMatrixError,
     TheoremMismatchError,
     UnknownNodeError,
 )
-from .inverse import RestrictionCache
+from .inverse import RestrictionCache, tree_masses
 from .matrix import RationalMatrix
 from .tree import DyadicTree, TreeEdge
 
@@ -152,48 +152,44 @@ def fixed_leaf_exit(
     The left side is the reciprocal of the fixed leaf's diagonal entry; the
     right side sums, over internal spine nodes of the restriction, the
     minus-side mass scaled by ``(1 - alpha*plus_mass)/(1 - alpha*minus_mass)``.
-    Masses come from exact inversion of the sub-restrictions.  Valid for
-    restrictions at spine nodes of the original tree (where the fixed leaf's
-    row is constant); elsewhere the inequality has no predictive content.
+    Masses come from the tree recursion (:func:`tree_masses`), with no
+    inversion; only ``last_row_sum`` is read from the elimination inverse
+    held by ``cache``, which makes :attr:`ExitReport.identity_ok` a check
+    of the recursion against the oracle.  Valid for restrictions at spine
+    nodes of the original tree (where the fixed leaf's row is constant);
+    elsewhere the inequality has no predictive content.
     """
+    tree = tm.tree
+    node = tree.root if node is None else node
+    if node not in tree:
+        raise UnknownNodeError(node)
     cache = cache or RestrictionCache(tm)
-    sub = cache.restricted(tm.tree.root if node is None else node)
-    tree = sub.tree
-    diag_last = sub.matrix[-1, -1]
-    if diag_last == 0:
-        raise SingularMatrixError(
-            f"restriction at node {tree.root!r} has a zero fixed-leaf diagonal"
-        )
-    lhs = 1 / diag_last
+    masses = tree_masses(tm, node)
+    fixed = tree.leaves_below(node)[-1]
+    lhs = masses[fixed]  # 1/U[n,n]; the recursion raised on a zero
     rhs = Fraction(0)
     terms = []
-    for spine_node in tree.spine()[:-1]:
+    for spine_node in tree.path_down(node, fixed)[:-1]:
         minus, plus = tree.children(spine_node)
-        alpha = sub.annotation.alpha(spine_node)
-        mass_minus = cache.mass(minus)
-        mass_plus = cache.mass(plus)
-        denom = 1 - alpha * mass_minus
-        if denom == 0:
-            raise SingularMatrixError(
-                f"spine denominator vanishes at node {spine_node!r}"
-            )
+        alpha = tm.alpha(spine_node)
+        mass_minus = masses[minus]
+        denom = 1 - alpha * mass_minus  # nonzero: the recursion checked it
         if denom < 0:
             raise TheoremMismatchError(
                 f"spine denominator {denom} negative at node {spine_node!r}"
             )
-        term = mass_minus * (1 - alpha * mass_plus) / denom
+        term = mass_minus * (1 - alpha * masses[plus]) / denom
         terms.append((spine_node, term))
         rhs += term
-    mu = cache.potential(tree.root).mu
     return ExitReport(
-        tree.root,
-        tree.fixed_leaf,
+        node,
+        fixed,
         lhs,
         rhs,
         tuple(terms),
         lhs >= rhs,
         lhs > rhs,
-        mu[-1],
+        cache.potential(node).mu[-1],
     )
 
 
@@ -214,7 +210,6 @@ def roots_structural(
     sets: StructureSets,
     node: Optional[str] = None,
     cache: Optional[RestrictionCache] = None,
-    geodesic_reading: str = "local",
 ) -> StructuralRootSet:
     """Structural exiting roots of the restriction at ``node``.
 
@@ -224,19 +219,11 @@ def roots_structural(
     leaf and its verdict comes from :func:`fixed_leaf_exit`; off the spine
     the restriction has no distinguished row and the path test applies to
     every leaf.
-
-    ``geodesic_reading="global"`` reads each leaf's path all the way to the
-    original root instead of stopping at ``node`` (a strictly more blocking
-    variant retained for diagnostic comparison; "local" is canonical and is
-    what the oracle confirms).
     """
-    if geodesic_reading not in ("local", "global"):
-        raise ValueError(f"unknown geodesic reading {geodesic_reading!r}")
     tree = tm.tree
     node = tree.root if node is None else node
     if node not in tree:
         raise UnknownNodeError(node)
-    top = tree.root if geodesic_reading == "global" else node
     leaves = tree.leaves_below(node)
     on_spine = tree.on_spine(node)
     fixed = leaves[-1]
@@ -246,7 +233,7 @@ def roots_structural(
     for leaf in leaves:
         if on_spine and leaf == fixed:
             continue
-        hits = tree.geodesic_edges(leaf, top) & sets.gamma
+        hits = tree.geodesic_edges(leaf, node) & sets.gamma
         if hits:
             blocked.append((leaf, min(hits, key=tree.edge_key)))
         else:

@@ -2,11 +2,12 @@
 
 The harness generates annotated trees, inverts them exactly, and checks
 every invariant the package relies on — tree geometry, matrix shape,
-potentials, Schur assembly, exit inequalities, root sets, link verdicts,
-zero patterns, kernels, and document round-trips.  Singular draws are
-counted and skipped (the structural theorems all hypothesize a nonsingular
-matrix).  Failures carry a reproducer document, minimized by re-running
-the failing suite on successively smaller spine restrictions.
+potentials, tree-recursion masses, Schur assembly, exit inequalities, root
+sets, link verdicts, zero patterns, kernels, and document round-trips.
+Singular draws are counted and skipped (the structural theorems all
+hypothesize a nonsingular matrix).  Failures carry a reproducer document,
+minimized by re-running the failing suite on successively smaller spine
+restrictions.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .inverse import (
     neumann_check,
     schur_blocks,
     transition_kernel,
+    tree_masses,
     verify_mass_recursion,
 )
 from .links import link_matrix, zero_pattern
@@ -282,6 +284,14 @@ def _suite_mass_recursion(ctx: InstanceContext) -> list[str]:
     return list(report.messages)
 
 
+def _suite_mass_recursion_per_node(ctx: InstanceContext) -> list[str]:
+    return [
+        f"recursion mass at {node} is {mass}, oracle {ctx.cache.mass(node)}"
+        for node, mass in tree_masses(ctx.tm).items()
+        if mass != ctx.cache.mass(node)
+    ]
+
+
 def _suite_exit_identity(ctx: InstanceContext) -> list[str]:
     report = fixed_leaf_exit(ctx.tm, None, ctx.cache)
     if not report.identity_ok:
@@ -501,6 +511,7 @@ _SUITES: tuple[_Suite, ...] = (
     _Suite("restrictions_nonsingular", _suite_restrictions_nonsingular),
     _Suite("schur_assembly", _suite_schur_assembly, min_size=2),
     _Suite("mass_recursion", _suite_mass_recursion, min_size=2),
+    _Suite("mass_recursion_per_node", _suite_mass_recursion_per_node),
     _Suite("exit_identity", _suite_exit_identity),
     _Suite("structural_roots", _suite_structural_roots),
     _Suite("structural_roots_per_node", _suite_structural_roots_per_node),
@@ -547,7 +558,6 @@ class SelftestOutcome:
     singular: int
     suites: dict[str, SuiteCount]
     failures: list[SelftestFailure] = field(default_factory=list)
-    reading_divergences: int = 0
     elapsed: float = 0.0
 
     @property
@@ -664,17 +674,6 @@ def _minimize(ctx: InstanceContext, suite: _Suite) -> InstanceContext:
     return best
 
 
-def _reading_divergence(ctx: InstanceContext) -> bool:
-    for node in ctx.tree.internal_nodes():
-        local = roots_structural(ctx.tm, ctx.sets, node, ctx.cache)
-        global_ = roots_structural(
-            ctx.tm, ctx.sets, node, ctx.cache, geodesic_reading="global"
-        )
-        if local.roots != global_.roots:
-            return True
-    return False
-
-
 def run_selftest(
     cases: int,
     max_leaves: int,
@@ -726,8 +725,6 @@ def run_selftest(
                         minimized.document(),
                     )
                 )
-        if _reading_divergence(ctx):
-            outcome.reading_divergences += 1
 
     for idx in range(cases):
         case_seed = rng.getrandbits(48)

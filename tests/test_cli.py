@@ -113,6 +113,20 @@ def test_report_eta_too_small_exit_3(capsys):
     assert "theorem hypotheses not met" in capsys.readouterr().err
 
 
+def test_report_kernel_value_error_exit_4(capsys, monkeypatch):
+    import rootlink.report as report_mod
+
+    def bad_kernel(minv, eta=None):
+        raise ValueError("off-diagonal of the kernel is negative")
+
+    monkeypatch.setattr(report_mod, "transition_kernel", bad_kernel)
+    assert main(["report", str(SIX_LEAF_DOC)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "theorem mismatch:" in captured.err
+    assert "off-diagonal of the kernel is negative" in captured.err
+
+
 def test_report_eta_flag_must_be_rational(capsys):
     with pytest.raises(SystemExit) as err:
         main(["report", str(SIX_LEAF_DOC), "--eta", "1.5"])
@@ -168,7 +182,6 @@ def test_selftest_smoke(capsys, tmp_path, monkeypatch):
     out = capsys.readouterr().out
     assert "20 cases" in out
     assert "links_agree:" in out
-    assert "reading divergences (diagnostic):" in out
     assert "self-test passed" in out
     assert not (tmp_path / COUNTEREXAMPLE_FILE).exists()
 

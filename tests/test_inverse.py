@@ -1,7 +1,8 @@
-"""Exact inversion, potentials, Schur split, kernel, and partial sums."""
+"""Exact inversion, potentials, tree masses, Schur split, kernel, and partial sums."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,15 +13,18 @@ from rootlink import (
     RestrictionCache,
     SingularMatrixError,
     TheoremMismatchError,
-    exact_inverse,
+    build_matrix,
+    build_tree,
     neumann_check,
     potentials,
+    random_instance,
     schur_blocks,
     transition_kernel,
+    tree_masses,
     verify_mass_recursion,
 )
 
-from conftest import SIX_LEAF_INVERSE_8X, instance
+from conftest import SIX_LEAF_INVERSE_8X, annotation_from, instance
 
 
 def scaled(rows: list[list[int]], denom: int) -> RationalMatrix:
@@ -30,7 +34,7 @@ def scaled(rows: list[list[int]], denom: int) -> RationalMatrix:
 def test_six_leaf_inverse_exact(six_tm, six_inverse):
     assert six_inverse == scaled(SIX_LEAF_INVERSE_8X, 8)
     assert six_tm.matrix @ six_inverse == RationalMatrix.identity(6)
-    assert exact_inverse(six_tm.matrix) == six_inverse
+    assert six_tm.matrix.inverse() == six_inverse
 
 
 def test_six_leaf_potentials(six_inverse):
@@ -86,6 +90,106 @@ def test_restriction_cache(six_tm):
         Fraction(-1, 4),
     )
     assert cache.inverse("5") == RationalMatrix([[Fraction(1, 4)]])
+
+
+def test_restriction_cache_seeded_with_the_full_inverse(six_tm, six_inverse):
+    cache = RestrictionCache(six_tm, six_inverse)
+    assert cache.inverse("I") is six_inverse
+    assert cache.potential("I") == potentials(six_inverse)
+
+
+def test_tree_masses_six_leaf(six_tm):
+    masses = tree_masses(six_tm)
+    assert masses["A"] == Fraction(1, 3)
+    assert masses["C"] == Fraction(1, 4)
+    assert masses["I"] == Fraction(1, 4)
+    cache = RestrictionCache(six_tm)
+    assert masses == {node: cache.mass(node) for node in six_tm.tree.preorder}
+    assert tree_masses(six_tm, "B") == {
+        node: masses[node] for node in ("B", "C", "3", "4", "D", "5", "6")
+    }
+
+
+def _check_tree_masses(tm) -> bool:
+    """Recursion == Bareiss on every node; returns whether any restriction is singular.
+
+    The recursion must raise exactly when some restriction's inversion does.
+    """
+    cache = RestrictionCache(tm)
+    oracle = {}
+    for node in tm.tree.preorder:
+        try:
+            oracle[node] = cache.mass(node)
+        except SingularMatrixError:
+            pass
+    if len(oracle) < len(tm.tree):
+        with pytest.raises(SingularMatrixError):
+            tree_masses(tm)
+        return True
+    assert tree_masses(tm) == oracle
+    return False
+
+
+def test_tree_masses_match_oracle_on_random_draws():
+    singular = 0
+    for seed in range(500):
+        strictness = "strict" if seed % 2 else "lax"
+        tm = build_matrix(*random_instance(seed, 14, strictness))
+        singular += _check_tree_masses(tm)
+    assert 0 < singular < 250  # lax ties make some draws singular
+
+
+def _caterpillar(leaves: int, seed: int):
+    """A left comb under the root's minus child; the fixed leaf is root.plus."""
+    children = {"root": ("c1", "f")}
+    for k in range(1, leaves - 2):
+        children[f"c{k}"] = (f"c{k + 1}", f"l{k}")
+    children[f"c{leaves - 2}"] = ("l0", f"l{leaves - 2}")
+    tree = build_tree(children, "root")
+    rng = random.Random(seed)
+
+    def step() -> Fraction:
+        return Fraction(rng.randint(1, 4), rng.choice((1, 2, 4)))
+
+    values = {"root": (Fraction(rng.randint(0, 2), 2),) * 2}
+    for node in tree.preorder:
+        a, b = values[node]
+        for child in tree.children(node):
+            if tree.is_leaf(child):
+                values[child] = (max(a, b) + step(),) * 2
+            else:
+                child_alpha = a + step()
+                values[child] = (child_alpha, max(child_alpha, b) + step())
+    return build_matrix(tree, annotation_from(values))
+
+
+@pytest.mark.parametrize("leaves", [3, 9, 17])
+def test_tree_masses_caterpillars(leaves):
+    for seed in range(3):
+        assert not _check_tree_masses(_caterpillar(leaves, seed))
+
+
+@pytest.mark.parametrize(
+    "children,values,node",
+    [
+        # spine factor 1 - alpha(I) * m_1 = 1 - 2 * (1/2)
+        ({"I": ("1", "2")}, {"I": (2, 2), "1": (2, 2), "2": (3, 3)}, "I"),
+        # off-spine denominator 1 - 3 * 3 * (1/3) * (1/3) at M
+        (
+            {"I": ("M", "3"), "M": ("1", "2")},
+            {"I": (1, 1), "M": (3, 3), "1": (3, 3), "2": (3, 3), "3": (4, 4)},
+            "M",
+        ),
+        # a zero leaf value
+        ({"I": ("1", "2")}, {"I": (0, 0), "1": (0, 0), "2": (1, 1)}, "1"),
+    ],
+)
+def test_tree_masses_name_the_singular_node(children, values, node):
+    tm = instance(children, "I", values)
+    with pytest.raises(SingularMatrixError, match=repr(node)):
+        tree_masses(tm)
+    with pytest.raises(SingularMatrixError):
+        tm.restrict(node).matrix.inverse()
 
 
 def test_schur_blocks_six_leaf(six_tm, six_inverse):

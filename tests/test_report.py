@@ -107,6 +107,40 @@ def test_report_mismatch_carries_counterexample(six_tm, monkeypatch):
     assert "inverse:" in text
 
 
+def test_report_exit_identity_checks_the_recursion(six_tm, monkeypatch):
+    import rootlink.roots as roots_mod
+
+    real = roots_mod.tree_masses
+
+    def skewed(tm, node=None):
+        masses = real(tm, node)
+        masses[tm.fixed_leaf] *= 2  # lhs 1/2, and the last spine term moves
+        return masses
+
+    monkeypatch.setattr(roots_mod, "tree_masses", skewed)
+    with pytest.raises(TheoremMismatchError) as err:
+        build_report(six_tm)
+    text = str(err.value)
+    assert "fixed-leaf row sum -5/8 != lhs - rhs = 1/2 - 1/8" in text
+    assert '"root": "I"' in text
+    assert "inverse:" in text
+
+
+def test_report_kernel_value_error_carries_counterexample(six_tm, monkeypatch):
+    import rootlink.report as report_mod
+
+    def bad_kernel(minv, eta=None):
+        raise ValueError("kernel column 0 sums to 2 > 1")
+
+    monkeypatch.setattr(report_mod, "transition_kernel", bad_kernel)
+    with pytest.raises(TheoremMismatchError) as err:
+        build_report(six_tm)
+    text = str(err.value)
+    assert "transition kernel: kernel column 0 sums to 2 > 1" in text
+    assert '"root": "I"' in text
+    assert "inverse:" in text
+
+
 def test_dot_six_leaf(six_tree, six_annotation):
     dot = render_dot(six_tree, six_annotation)
     lines = dot.splitlines()

@@ -96,12 +96,6 @@ def test_transpose_roots_per_restriction(six_tm, six_tree, six_sets, node, expec
     ) == frozenset(expected)
 
 
-def test_geodesic_readings_coincide_at_root(six_tm, six_sets):
-    local = roots_structural(six_tm, six_sets, geodesic_reading="local")
-    global_ = roots_structural(six_tm, six_sets, geodesic_reading="global")
-    assert local.roots == global_.roots
-
-
 def test_single_leaf_exit():
     tm = instance({}, "L", {"L": (2, 2)})
     report = fixed_leaf_exit(tm)
