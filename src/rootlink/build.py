@@ -190,23 +190,30 @@ def build_matrix(tree: DyadicTree, annotation: Annotation) -> "TreeMatrix":
     if violations:
         raise InvalidAnnotationError(violations)
 
+    # Each internal node t fills its two cross blocks: alpha(t) above the
+    # diagonal; below it, beta of the deeper of t and the row leaf's spine
+    # anchor.  That is beta(t) off the spine (the anchor lies above t) and
+    # beta(anchor) per row under a spine node (the anchor lies below it).
     leaves = tree.leaf_order
-    anchors = {leaf: tree.spine_anchor(leaf) for leaf in leaves}
-    rows = []
-    for i, leaf_i in enumerate(leaves):
-        row = []
-        for j, leaf_j in enumerate(leaves):
-            if i == j:
-                row.append(annotation.alpha(leaf_i))
-                continue
-            meet = tree.lca(leaf_i, leaf_j)
-            if i < j:
-                row.append(annotation.alpha(meet))
-            else:
-                anchor = anchors[leaf_i]
-                deeper = meet if tree.depth(meet) >= tree.depth(anchor) else anchor
-                row.append(annotation.beta(deeper))
-        rows.append(row)
+    n = len(leaves)
+    spine = tree.spine()
+    anchor_beta = [annotation.beta(leaves[-1])] * n  # the fixed leaf anchors itself
+    for node in spine[:-1]:
+        lo, hi = tree.leaf_span(tree.minus(node))
+        anchor_beta[lo:hi] = [annotation.beta(node)] * (hi - lo)
+    # Start every row at its leaf value; the cross blocks below cover each
+    # off-diagonal entry exactly once, leaving only the diagonal.
+    rows = [[annotation.alpha(leaf)] * n for leaf in leaves]
+    for node in tree.internal_nodes():
+        lo, mid = tree.leaf_span(tree.minus(node))
+        hi = tree.leaf_span(tree.plus(node))[1]
+        upper = [annotation.alpha(node)] * (hi - mid)
+        for i in range(lo, mid):
+            rows[i][mid:hi] = upper
+        on_spine = hi == n
+        for i in range(mid, hi):
+            lower = anchor_beta[i] if on_spine else annotation.beta(node)
+            rows[i][lo:mid] = [lower] * (mid - lo)
     return TreeMatrix(tree, annotation, RationalMatrix(rows))
 
 

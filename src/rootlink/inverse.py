@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .build import TreeMatrix
@@ -320,15 +321,29 @@ def verify_mass_recursion(
 class TransitionKernel:
     """Sub-Markov kernel derived from an inverse matrix and a scale eta."""
 
-    p: RationalMatrix
+    minv: RationalMatrix
     eta: Fraction
     eta_min: Fraction  # largest diagonal entry of the inverse
+
+    @cached_property
+    def p(self) -> RationalMatrix:
+        """``P = I - (1/eta)*minv``, built on first read."""
+        denom, nums = self.minv.integer_form()
+        full = denom * self.eta.numerator  # P = (full*I - eta.denominator*nums) / full
+        scale = self.eta.denominator
+        return RationalMatrix.from_integer_form(
+            full,
+            (
+                [(full if i == j else 0) - scale * x for j, x in enumerate(row)]
+                for i, row in enumerate(nums)
+            ),
+        )
 
 
 def transition_kernel(
     minv: RationalMatrix, eta: Optional[Rational] = None
 ) -> TransitionKernel:
-    """Build ``P = I - (1/eta)*minv`` and check it is sub-Markov.
+    """Check that ``P = I - (1/eta)*minv`` is sub-Markov, without building P.
 
     ``eta`` defaults to the largest diagonal entry of ``minv`` (the smallest
     admissible value).  A smaller eta drives a diagonal entry of P negative
@@ -336,34 +351,37 @@ def transition_kernel(
     column sum above one means ``minv`` is not the inverse of a supported
     matrix and raises :class:`ValueError` (which
     :func:`~rootlink.report.build_report` reports as a theorem mismatch).
+    Since ``eta > 0``, each sign is read off ``minv`` itself: ``p_ii < 0``
+    exactly when ``m_ii > eta``, an off-diagonal ``p_ij < 0`` exactly when
+    ``m_ij > 0``, and column ``j`` of P sums to ``1 - nu_j/eta``, above one
+    exactly when the column sum ``nu_j`` of ``minv`` is negative.  P itself
+    is built only when :attr:`TransitionKernel.p` is first read.
     """
     if minv.nrows != minv.ncols:
         raise ValueError(f"matrix is not square: {minv.shape}")
-    eta_min = max(minv.diagonal())
+    diagonal = minv.diagonal()
+    eta_min = max(diagonal)
     eta_val = eta_min if eta is None else to_fraction(eta)
     if eta_val <= 0:
         raise EtaTooSmallError(f"eta must be positive, got {eta_val}")
-    n = minv.nrows
-    p = RationalMatrix.identity(n) - minv.scale(Fraction(1) / eta_val)
-    for i in range(n):
-        if p[i, i] < 0:
-            raise EtaTooSmallError(
-                f"eta {eta_val} below the largest inverse diagonal {eta_min}"
-            )
-    for i in range(n):
-        for j in range(n):
-            if i != j and p[i, j] < 0:
-                raise ValueError(
-                    "off-diagonal of the kernel is negative; input is not the "
-                    "inverse of a supported matrix"
-                )
-    for j, total in enumerate(p.col_sums()):
-        if total > 1:
+    if any(d > eta_val for d in diagonal):
+        raise EtaTooSmallError(
+            f"eta {eta_val} below the largest inverse diagonal {eta_min}"
+        )
+    _, nums = minv.integer_form()
+    for i, row in enumerate(nums):
+        if any(x > 0 for x in row[:i]) or any(x > 0 for x in row[i + 1 :]):
             raise ValueError(
-                f"kernel column {j} sums to {total} > 1; input is not the "
+                "off-diagonal of the kernel is negative; input is not the "
                 "inverse of a supported matrix"
             )
-    return TransitionKernel(p, eta_val, eta_min)
+    for j, total in enumerate(minv.col_sums()):
+        if total < 0:
+            raise ValueError(
+                f"kernel column {j} sums to {1 - total / eta_val} > 1; input is "
+                "not the inverse of a supported matrix"
+            )
+    return TransitionKernel(minv, eta_val, eta_min)
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,18 @@ For leaves ``i != j`` meeting at node ``L``, whether the inverse entry
   side), and finally must strictly exceed the spine anchor's alpha.
 
 Every verdict carries a trace naming the rule that decided it; the oracle
-(the exact inverse) adjudicates disagreements.
+(the exact inverse) adjudicates disagreements.  Apart from side-root
+membership, a verdict depends only on the meet and the direction, so
+:func:`link_matrix` decides whole (meet, direction) blocks at once and
+traces only the pairs that disagree with the oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 from .build import Annotation, TreeMatrix, validate_annotation
 from .errors import InvalidAnnotationError
@@ -63,30 +67,85 @@ class LinkTrace:
     steps: tuple[str, ...]
 
 
-class _SideRoots:
-    """Memoized structural root / transpose-root sets per node."""
+_SideRootSets = tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]
 
-    def __init__(self, tm: TreeMatrix, sets: StructureSets):
-        self.tm = tm
-        self.sets = sets
-        self._roots: dict[str, frozenset[str]] = {}
-        self._roots_t: dict[str, frozenset[str]] = {}
 
-    def roots(self, node: str) -> frozenset[str]:
-        try:
-            return self._roots[node]
-        except KeyError:
-            result = roots_structural(self.tm, self.sets, node).roots
-            self._roots[node] = result
-            return result
+def _side_roots(tree: DyadicTree, sets: StructureSets) -> _SideRootSets:
+    """Structural roots and transpose roots of every off-spine node, bottom-up.
 
-    def roots_t(self, node: str) -> frozenset[str]:
-        try:
-            return self._roots_t[node]
-        except KeyError:
-            result = roots_transpose(self.tm.tree, self.sets, node)
-            self._roots_t[node] = result
-            return result
+    A leaf's set is the leaf itself; a child's set passes up to its parent
+    unless the edge between them is in ``gamma`` (for roots) or ``gamma_t``
+    (for transpose roots).  Off the spine this is the path test of
+    :func:`~rootlink.roots.roots_structural` and
+    :func:`~rootlink.roots.roots_transpose`, for all nodes at once.
+    """
+    roots: dict[str, frozenset[str]] = {}
+    roots_t: dict[str, frozenset[str]] = {}
+    for node in reversed(tree.preorder):
+        if tree.on_spine(node):
+            continue
+        kids = tree.children(node)
+        if not kids:
+            roots[node] = roots_t[node] = frozenset((node,))
+            continue
+        up = [roots[k] for k in kids if TreeEdge(node, k) not in sets.gamma]
+        up_t = [roots_t[k] for k in kids if TreeEdge(node, k) not in sets.gamma_t]
+        roots[node] = frozenset().union(*up)
+        roots_t[node] = frozenset().union(*up_t)
+    return roots, roots_t
+
+
+def _climb(
+    tm: TreeMatrix,
+    sets: StructureSets,
+    meet: str,
+    anchor: str,
+    entry: Fraction,
+    steps: Optional[list[str]] = None,
+) -> tuple[str, bool]:
+    """Rules (ii.b) and (ii.c) for an off-spine meet whose side roots hold.
+
+    Climbs the ancestors strictly between ``meet`` and its spine anchor,
+    then compares ``entry`` with the anchor's alpha.  Returns the deciding
+    rule and the verdict; each step taken is appended to ``steps`` when
+    given.
+    """
+    tree = tm.tree
+    prev = meet
+    node = tree.parent(meet)
+    while node != anchor:
+        alpha = tm.alpha(node)
+        if entry > alpha:
+            prev, node = node, tree.parent(node)
+            continue
+        if entry < alpha:  # impossible for valid annotations; defensive
+            if steps is not None:
+                steps.append(f"entry {entry} below alpha({node}) = {alpha}")
+            return "(ii.b)", False
+        node_minus, node_plus = tree.children(node)
+        if prev == node_minus:
+            blocked = TreeEdge(node, node_minus) in sets.gamma_t
+            side = "minus"
+        else:
+            blocked = TreeEdge(node, node_plus) in sets.gamma
+            side = "plus"
+        if blocked:
+            if steps is not None:
+                steps.append(
+                    f"tie at {node} ({side} side): beta attained on the opposite side"
+                )
+            return "(ii.b)", False
+        if steps is not None:
+            steps.append(f"tie at {node} ({side} side) survives")
+        prev, node = node, tree.parent(node)
+
+    threshold = tm.alpha(anchor)
+    ok = entry > threshold
+    if steps is not None:
+        steps.append(
+            f"entry {entry} {'>' if ok else '<='} alpha({anchor}) = {threshold}"
+        )
+    return "(ii.c)", ok
 
 
 def link_structural(
@@ -94,22 +153,31 @@ def link_structural(
     sets: StructureSets,
     row: str,
     col: str,
-    side_roots: Optional[_SideRoots] = None,
+    side_roots: Optional[_SideRootSets] = None,
 ) -> LinkTrace:
     """Predict whether the inverse entry at (row, col) is negative.
 
     ``row`` and ``col`` are distinct leaf ids.  Only used on nonsingular
     matrices; the off-spine branch never needs the fixed-leaf exit test
     because side restrictions of an off-spine meet are off the spine
-    themselves.
+    themselves.  ``side_roots`` is the pair of per-node root and
+    transpose-root sets that :func:`link_matrix` computes once; when it is
+    omitted, the meet's off-spine children get theirs from the per-leaf
+    path tests of :func:`roots_structural` and :func:`roots_transpose`.
     """
     tree = tm.tree
     if row == col:
         raise ValueError("links are defined for distinct leaves only")
-    side_roots = side_roots or _SideRoots(tm, sets)
     meet = tree.lca(row, col)
     anchor = tree.spine_anchor(meet)
     minus, plus = tree.children(meet)
+    if side_roots is None:
+        sides = [side for side in (minus, plus) if not tree.on_spine(side)]
+        side_roots = (
+            {side: roots_structural(tm, sets, side).roots for side in sides},
+            {side: roots_transpose(tree, sets, side) for side in sides},
+        )
+    roots, roots_t = side_roots
     upper = tree.leaf_index(row) < tree.leaf_index(col)
     entry = tm.matrix[tree.leaf_index(row), tree.leaf_index(col)]
     steps: list[str] = []
@@ -128,7 +196,7 @@ def link_structural(
             if col != tree.fixed_leaf:
                 steps.append(f"column {col} is not the fixed leaf")
                 return done("(i.a)", False)
-            ok = row in side_roots.roots(minus)
+            ok = row in roots[minus]
             steps.append(
                 f"row {row} {'is' if ok else 'is not'} a root of side {minus}"
             )
@@ -136,53 +204,21 @@ def link_structural(
         if row != tree.fixed_leaf:
             steps.append(f"row {row} is not the fixed leaf")
             return done("(i.b)", False)
-        ok = col in side_roots.roots_t(minus)
+        ok = col in roots_t[minus]
         steps.append(
             f"column {col} {'is' if ok else 'is not'} a transpose root of side {minus}"
         )
         return done("(i.b)", ok)
 
     row_side, col_side = (minus, plus) if upper else (plus, minus)
-    if row not in side_roots.roots(row_side):
+    if row not in roots[row_side]:
         steps.append(f"row {row} is not a root of side {row_side}")
         return done("(ii.a)", False)
-    if col not in side_roots.roots_t(col_side):
+    if col not in roots_t[col_side]:
         steps.append(f"column {col} is not a transpose root of side {col_side}")
         return done("(ii.a)", False)
     steps.append(f"(ii.a) holds at {meet}")
-
-    # Climb the ancestors strictly between the meet and its spine anchor.
-    prev = meet
-    node = tree.parent(meet)
-    while node != anchor:
-        alpha = tm.alpha(node)
-        if entry > alpha:
-            prev, node = node, tree.parent(node)
-            continue
-        if entry < alpha:  # impossible for valid annotations; defensive
-            steps.append(f"entry {entry} below alpha({node}) = {alpha}")
-            return done("(ii.b)", False)
-        node_minus, node_plus = tree.children(node)
-        if prev == node_minus:
-            blocked = TreeEdge(node, node_minus) in sets.gamma_t
-            side = "minus"
-        else:
-            blocked = TreeEdge(node, node_plus) in sets.gamma
-            side = "plus"
-        if blocked:
-            steps.append(
-                f"tie at {node} ({side} side): beta attained on the opposite side"
-            )
-            return done("(ii.b)", False)
-        steps.append(f"tie at {node} ({side} side) survives")
-        prev, node = node, tree.parent(node)
-
-    threshold = tm.alpha(anchor)
-    ok = entry > threshold
-    steps.append(
-        f"entry {entry} {'>' if ok else '<='} alpha({anchor}) = {threshold}"
-    )
-    return done("(ii.c)", ok)
+    return done(*_climb(tm, sets, meet, anchor, entry, steps))
 
 
 @dataclass(frozen=True)
@@ -191,12 +227,60 @@ class LinkReport:
 
     links: frozenset[tuple[str, str]]
     oracle_links: frozenset[tuple[str, str]]
-    traces: tuple[LinkTrace, ...]
-    mismatches: tuple[LinkTrace, ...]
+    mismatches: tuple[LinkTrace, ...]  # in row-major leaf order
+    _trace_all: Callable[[], tuple[LinkTrace, ...]] = field(
+        repr=False, compare=False
+    )
 
     @property
     def agrees(self) -> bool:
         return not self.mismatches
+
+    @cached_property
+    def traces(self) -> tuple[LinkTrace, ...]:
+        """Every ordered pair's trace in row-major leaf order, built on first read."""
+        return self._trace_all()
+
+
+def _all_traces(
+    tm: TreeMatrix, sets: StructureSets, side_roots: _SideRootSets
+) -> tuple[LinkTrace, ...]:
+    return tuple(
+        link_structural(tm, sets, row, col, side_roots)
+        for row in tm.leaves
+        for col in tm.leaves
+        if row != col
+    )
+
+
+def _linked_block(
+    tm: TreeMatrix, sets: StructureSets, side_roots: _SideRootSets, meet: str, upper: bool
+) -> tuple[frozenset[str], frozenset[str]]:
+    """Rows and columns linked at ``meet`` in one direction.
+
+    Every pair meeting at ``meet`` with the row on the minus side (``upper``)
+    or on the plus side gets the same verdict from :func:`link_structural`
+    except for side-root membership, so the linked pairs of the block are
+    exactly ``rows x cols``.
+    """
+    tree = tm.tree
+    roots, roots_t = side_roots
+    minus, plus = tree.children(meet)
+    none: frozenset[str] = frozenset()
+    if tree.on_spine(meet):
+        fixed = frozenset((tree.fixed_leaf,))
+        if not upper:
+            return fixed, roots_t[minus]
+        if tm.alpha(meet) == 0:
+            return none, none
+        return roots[minus], fixed
+    row_side, col_side = (minus, plus) if upper else (plus, minus)
+    rows, cols = roots[row_side], roots_t[col_side]
+    if not (rows and cols):
+        return none, none
+    entry = tm.alpha(meet) if upper else tm.beta(meet)
+    _, ok = _climb(tm, sets, meet, tree.spine_anchor(meet), entry)
+    return (rows, cols) if ok else (none, none)
 
 
 def link_matrix(
@@ -204,33 +288,55 @@ def link_matrix(
     sets: Optional[StructureSets] = None,
     minv: Optional[RationalMatrix] = None,
 ) -> LinkReport:
-    """Evaluate every ordered leaf pair structurally and against the oracle."""
+    """Evaluate every ordered leaf pair structurally and against the oracle.
+
+    Off the spine, a pair's verdict depends only on its meet, its direction
+    and side-root membership, so the verdicts come per (meet, direction)
+    block: the side roots of every node are computed once, bottom-up, and
+    each block needs one climb.  The linked pairs are compared with the
+    negative entries of ``minv``; :func:`link_structural` runs only on the
+    pairs that disagree, and :attr:`LinkReport.traces` builds all traces on
+    first read.
+    """
     sets = sets or build_structure_sets(tm.tree, tm.annotation)
     minv = minv if minv is not None else tm.matrix.inverse()
-    side_roots = _SideRoots(tm, sets)
+    tree = tm.tree
     leaves = tm.leaves
-    links = set()
-    oracle_links = set()
-    traces = []
-    mismatches = []
-    for i, row in enumerate(leaves):
-        for j, col in enumerate(leaves):
-            if i == j:
-                continue
-            trace = link_structural(tm, sets, row, col, side_roots)
-            truth = link_oracle(minv, i, j)
-            traces.append(trace)
-            if trace.linked:
-                links.add((row, col))
-            if truth:
-                oracle_links.add((row, col))
-            if trace.linked != truth:
-                mismatches.append(trace)
+    side_roots = _side_roots(tree, sets)
+    _, nums = minv.integer_form()
+    links = []
+    oracle_links = []
+    bad = []
+    for meet in tree.internal_nodes():
+        lo, mid = tree.leaf_span(tree.minus(meet))
+        hi = tree.leaf_span(tree.plus(meet))[1]
+        for upper, row_span, col_span in (
+            (True, range(lo, mid), range(mid, hi)),
+            (False, range(mid, hi), range(lo, mid)),
+        ):
+            rows, cols = _linked_block(tm, sets, side_roots, meet, upper)
+            for i in row_span:
+                row = leaves[i]
+                row_linked = row in rows
+                entries = nums[i]
+                for j in col_span:
+                    linked = row_linked and leaves[j] in cols
+                    truth = entries[j] < 0
+                    if linked:
+                        links.append((row, leaves[j]))
+                    if truth:
+                        oracle_links.append((row, leaves[j]))
+                    if linked != truth:
+                        bad.append((i, j))
+    mismatches = tuple(
+        link_structural(tm, sets, leaves[i], leaves[j], side_roots)
+        for i, j in sorted(bad)
+    )
     return LinkReport(
         frozenset(links),
         frozenset(oracle_links),
-        tuple(traces),
-        tuple(mismatches),
+        mismatches,
+        partial(_all_traces, tm, sets, side_roots),
     )
 
 

@@ -3,14 +3,17 @@
 :class:`RationalMatrix` stores :class:`~fractions.Fraction` entries in
 immutable row tuples.  Inversion and multiplication clear denominators with
 one LCM per matrix and run on the integer kernels, so results are exact and
-the hot loops stay in :mod:`rootlink.kernels`.
+the hot loops stay in :mod:`rootlink.kernels`.  Every matrix also has an
+*integer form* ``(d, N)`` with ``d > 0`` and ``self == N / d`` entrywise; an
+inverse keeps the one its elimination produced, and row and column sums add
+its integers instead of fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import kernels
 from .errors import SingularMatrixError
@@ -40,7 +43,7 @@ def to_fraction(value: Rational) -> Fraction:
 class RationalMatrix:
     """Immutable matrix of exact rationals."""
 
-    __slots__ = ("_rows", "nrows", "ncols")
+    __slots__ = ("_rows", "nrows", "ncols", "_int")
 
     def __init__(self, rows: Iterable[Iterable[Rational]]):
         data = tuple(tuple(to_fraction(x) for x in row) for row in rows)
@@ -49,8 +52,35 @@ class RationalMatrix:
         self._rows = data
         self.nrows = len(data)
         self.ncols = len(data[0]) if data else 0
+        self._int: Optional[tuple[int, tuple[tuple[int, ...], ...]]] = None
 
     # -- construction ------------------------------------------------------
+
+    @classmethod
+    def _of_fractions(
+        cls,
+        rows: Iterable[Iterable[Fraction]],
+        integer_form: Optional[tuple[int, tuple[tuple[int, ...], ...]]] = None,
+    ) -> "RationalMatrix":
+        """Wrap rows of equal length whose entries are already Fractions."""
+        out = cls.__new__(cls)
+        out._rows = tuple(tuple(row) for row in rows)
+        out.nrows = len(out._rows)
+        out.ncols = len(out._rows[0]) if out._rows else 0
+        out._int = integer_form
+        return out
+
+    @classmethod
+    def from_integer_form(
+        cls, denom: int, nums: Iterable[Iterable[int]]
+    ) -> "RationalMatrix":
+        """The matrix ``nums / denom`` for a positive ``denom``, keeping that form."""
+        if denom <= 0:
+            raise ValueError(f"denominator must be positive, got {denom}")
+        ints = tuple(tuple(row) for row in nums)
+        return cls._of_fractions(
+            ((Fraction(x, denom) for x in row) for row in ints), (denom, ints)
+        )
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -67,7 +97,7 @@ class RationalMatrix:
         """Column times row: ``out[i][j] = u[i] * v[j]``."""
         uf = [to_fraction(x) for x in u]
         vf = [to_fraction(x) for x in v]
-        return cls([[x * y for y in vf] for x in uf])
+        return cls._of_fractions([[x * y for y in vf] for x in uf])
 
     # -- access ------------------------------------------------------------
 
@@ -111,33 +141,41 @@ class RationalMatrix:
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(self._rows[i][i] for i in range(min(self.nrows, self.ncols)))
 
+    def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(d, N)`` with ``d > 0`` and ``self == N / d`` entrywise.
+
+        An inverse carries the form its elimination produced; any other
+        matrix computes the least common denominator once and keeps it.
+        """
+        if self._int is None:
+            denom, ints = self._scaled_int()
+            self._int = (denom, tuple(map(tuple, ints)))
+        return self._int
+
     def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self._rows)
+        denom, nums = self.integer_form()
+        return tuple(Fraction(sum(row), denom) for row in nums)
 
     def col_sums(self) -> tuple[Fraction, ...]:
-        return tuple(
-            sum((row[j] for row in self._rows), Fraction(0))
-            for j in range(self.ncols)
-        )
+        denom, nums = self.integer_form()
+        return tuple(Fraction(sum(col), denom) for col in zip(*nums))
 
     def submatrix(
         self, row_idx: Sequence[int], col_idx: Sequence[int]
     ) -> "RationalMatrix":
-        return RationalMatrix(
+        return RationalMatrix._of_fractions(
             [[self._rows[i][j] for j in col_idx] for i in row_idx]
         )
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
+        return RationalMatrix._of_fractions(zip(*self._rows))
 
     # -- arithmetic ----------------------------------------------------------
 
     def _binary(self, other: "RationalMatrix", op) -> "RationalMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return RationalMatrix(
+        return RationalMatrix._of_fractions(
             [
                 [op(a, b) for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._rows, other._rows)
@@ -152,7 +190,9 @@ class RationalMatrix:
 
     def scale(self, c: Rational) -> "RationalMatrix":
         cf = to_fraction(c)
-        return RationalMatrix([[cf * x for x in row] for row in self._rows])
+        return RationalMatrix._of_fractions(
+            [[cf * x for x in row] for row in self._rows]
+        )
 
     def __neg__(self) -> "RationalMatrix":
         return self.scale(-1)
@@ -176,7 +216,7 @@ class RationalMatrix:
         lb, mb = other._scaled_int()
         prod = kernels.matmul_int(ma, mb)
         scale = la * lb
-        return RationalMatrix(
+        return RationalMatrix._of_fractions(
             [[Fraction(x, scale) for x in row] for row in prod]
         )
 
@@ -202,8 +242,9 @@ class RationalMatrix:
                 f"matrix of order {self.nrows} is singular"
             )
         det, adj = result
-        return RationalMatrix(
-            [[Fraction(scale * x, det) for x in row] for row in adj]
+        factor = scale if det > 0 else -scale
+        return RationalMatrix.from_integer_form(
+            abs(det), ((factor * x for x in row) for row in adj)
         )
 
     def det(self) -> Fraction:

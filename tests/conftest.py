@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,34 @@ def instance(
     values: dict[str, tuple[int, int]],
 ) -> TreeMatrix:
     return build_matrix(build_tree(children, root), annotation_from(values))
+
+
+def caterpillar(leaves: int, seed: int) -> TreeMatrix:
+    """A left comb under the root's minus child; the fixed leaf is root.plus.
+
+    Values grow by strictly positive steps down every path, so the draw is
+    strict.
+    """
+    children = {"root": ("c1", "f")}
+    for k in range(1, leaves - 2):
+        children[f"c{k}"] = (f"c{k + 1}", f"l{k}")
+    children[f"c{leaves - 2}"] = ("l0", f"l{leaves - 2}")
+    tree = build_tree(children, "root")
+    rng = random.Random(seed)
+
+    def step() -> Fraction:
+        return Fraction(rng.randint(1, 4), rng.choice((1, 2, 4)))
+
+    values = {"root": (Fraction(rng.randint(0, 2), 2),) * 2}
+    for node in tree.preorder:
+        a, b = values[node]
+        for child in tree.children(node):
+            if tree.is_leaf(child):
+                values[child] = (max(a, b) + step(),) * 2
+            else:
+                child_alpha = a + step()
+                values[child] = (child_alpha, max(child_alpha, b) + step())
+    return build_matrix(tree, annotation_from(values))
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from rootlink import (
     verify_mass_recursion,
 )
 
-from conftest import SIX_LEAF_INVERSE_8X, annotation_from, instance
+from conftest import SIX_LEAF_INVERSE_8X, annotation_from, caterpillar, instance
 
 
 def scaled(rows: list[list[int]], denom: int) -> RationalMatrix:
@@ -139,34 +139,10 @@ def test_tree_masses_match_oracle_on_random_draws():
     assert 0 < singular < 250  # lax ties make some draws singular
 
 
-def _caterpillar(leaves: int, seed: int):
-    """A left comb under the root's minus child; the fixed leaf is root.plus."""
-    children = {"root": ("c1", "f")}
-    for k in range(1, leaves - 2):
-        children[f"c{k}"] = (f"c{k + 1}", f"l{k}")
-    children[f"c{leaves - 2}"] = ("l0", f"l{leaves - 2}")
-    tree = build_tree(children, "root")
-    rng = random.Random(seed)
-
-    def step() -> Fraction:
-        return Fraction(rng.randint(1, 4), rng.choice((1, 2, 4)))
-
-    values = {"root": (Fraction(rng.randint(0, 2), 2),) * 2}
-    for node in tree.preorder:
-        a, b = values[node]
-        for child in tree.children(node):
-            if tree.is_leaf(child):
-                values[child] = (max(a, b) + step(),) * 2
-            else:
-                child_alpha = a + step()
-                values[child] = (child_alpha, max(child_alpha, b) + step())
-    return build_matrix(tree, annotation_from(values))
-
-
 @pytest.mark.parametrize("leaves", [3, 9, 17])
 def test_tree_masses_caterpillars(leaves):
     for seed in range(3):
-        assert not _check_tree_masses(_caterpillar(leaves, seed))
+        assert not _check_tree_masses(caterpillar(leaves, seed))
 
 
 @pytest.mark.parametrize(
@@ -267,8 +243,79 @@ def test_transition_kernel_gu_matrix():
 def test_transition_kernel_rejects_bad_sign_shape():
     # A positive off-diagonal inverse entry cannot come from this class;
     # the kernel refuses rather than emit a negative "probability".
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="off-diagonal of the kernel is negative"):
         transition_kernel(RationalMatrix([[1, Fraction(1, 2)], [0, 1]]))
+
+
+def test_transition_kernel_rejects_column_sum_above_one():
+    # Column 0 of the inverse sums to -1, so column 0 of P sums to 2.
+    with pytest.raises(ValueError, match="kernel column 0 sums to 2 > 1"):
+        transition_kernel(RationalMatrix([[1, 0], [-2, 1]]))
+
+
+@pytest.mark.parametrize("eta", [0, Fraction(-1, 2), Fraction(11, 8) - Fraction(1, 100)])
+def test_transition_kernel_eta_below_the_diagonal(six_inverse, eta):
+    with pytest.raises(EtaTooSmallError):
+        transition_kernel(six_inverse, eta)
+
+
+@pytest.mark.parametrize("eta", [None, Fraction(11, 8), 2, Fraction(7, 3)])
+def test_transition_kernel_p_is_identity_minus_scaled_inverse(six_inverse, eta):
+    kernel = transition_kernel(six_inverse, eta)
+    assert kernel.p == RationalMatrix.identity(6) - six_inverse.scale(1 / kernel.eta)
+    assert kernel.p is kernel.p  # built once, on first read
+
+
+def _kernel_from_p(minv: RationalMatrix, eta) -> str:
+    """Sign-shape verdict read off an explicitly built P, as a second opinion."""
+    eta_min = max(minv.diagonal())
+    eta = eta_min if eta is None else Fraction(eta)
+    if eta <= 0:
+        return "EtaTooSmallError"
+    p = RationalMatrix.identity(minv.nrows) - minv.scale(1 / eta)
+    n = minv.nrows
+    if any(p[i, i] < 0 for i in range(n)):
+        return "EtaTooSmallError"
+    if any(p[i, j] < 0 for i in range(n) for j in range(n) if i != j):
+        return (
+            "ValueError: off-diagonal of the kernel is negative; input is not "
+            "the inverse of a supported matrix"
+        )
+    for j, total in enumerate(p.col_sums()):
+        if total > 1:
+            return (
+                f"ValueError: kernel column {j} sums to {total} > 1; input is not "
+                "the inverse of a supported matrix"
+            )
+    return "ok"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_transition_kernel_signs_match_an_explicit_p(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    minv = RationalMatrix(
+        [
+            [
+                Fraction(rng.randint(1, 6), rng.choice((1, 2)))
+                if i == j
+                else Fraction(rng.choice((-3, -1, 0, 0, 0, 1)), rng.choice((1, 3)))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+    eta = rng.choice([None, Fraction(rng.randint(-1, 8), 2)])
+    try:
+        kernel = transition_kernel(minv, eta)
+    except EtaTooSmallError:
+        got = "EtaTooSmallError"
+    except ValueError as exc:
+        got = f"ValueError: {exc}"
+    else:
+        got = "ok"
+        assert kernel.p == RationalMatrix.identity(n) - minv.scale(1 / kernel.eta)
+    assert got == _kernel_from_p(minv, eta)
 
 
 def test_neumann_six_leaf(six_tm, six_inverse):

@@ -6,15 +6,23 @@ from fractions import Fraction
 
 import pytest
 
+import rootlink.links as links_mod
 from rootlink import (
+    SingularMatrixError,
+    TheoremMismatchError,
+    build_matrix,
+    build_report,
     build_structure_sets,
     link_matrix,
     link_oracle,
     link_structural,
+    random_instance,
+    roots_structural,
+    roots_transpose,
     zero_pattern,
 )
 
-from conftest import instance
+from conftest import caterpillar, instance
 
 SIX_LEAF_LINKS = {
     ("1", "2"),
@@ -64,6 +72,85 @@ def test_six_leaf_traces(six_tm, six_sets, row, col, rule, linked):
     trace = link_structural(six_tm, six_sets, row, col)
     assert trace.rule == rule
     assert trace.linked is linked
+
+
+def _path_side_roots(tm, sets):
+    """Per-node side roots from the per-leaf path tests of the roots module."""
+    tree = tm.tree
+    off_spine = [node for node in tree.preorder if not tree.on_spine(node)]
+    return (
+        {node: roots_structural(tm, sets, node).roots for node in off_spine},
+        {node: roots_transpose(tree, sets, node) for node in off_spine},
+    )
+
+
+def _check_grouped_verdicts(tm) -> bool:
+    """Per-meet verdicts == per-pair verdicts; False when the draw is singular."""
+    try:
+        minv = tm.matrix.inverse()
+    except SingularMatrixError:
+        return False
+    sets = build_structure_sets(tm.tree, tm.annotation)
+    side_roots = _path_side_roots(tm, sets)
+    assert links_mod._side_roots(tm.tree, sets) == side_roots
+    report = link_matrix(tm, sets, minv)
+    for row in tm.leaves:
+        for col in tm.leaves:
+            if row != col:
+                trace = link_structural(tm, sets, row, col, side_roots)
+                assert ((row, col) in report.links) == trace.linked, (row, col)
+    return True
+
+
+def test_grouped_verdicts_match_per_pair_on_random_draws():
+    checked = 0
+    for seed in range(1000):
+        strictness = "strict" if seed % 2 else "lax"
+        checked += _check_grouped_verdicts(
+            build_matrix(*random_instance(seed, 14, strictness))
+        )
+    assert 900 < checked < 1000  # lax ties make some draws singular
+
+
+@pytest.mark.parametrize("leaves", [3, 9, 17])
+def test_grouped_verdicts_match_per_pair_on_caterpillars(leaves):
+    for seed in range(3):
+        assert _check_grouped_verdicts(caterpillar(leaves, seed))
+
+
+def test_link_structural_runs_only_on_mismatches(six_tm, monkeypatch):
+    calls = []
+    real = links_mod.link_structural
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(links_mod, "link_structural", counted)
+    report = link_matrix(six_tm)
+    assert report.agrees and calls == []
+    assert len(report.traces) == 30 and len(calls) == 30  # traces on first read
+    assert report.traces is report.traces and len(calls) == 30
+
+
+def test_wrong_side_roots_raise_with_the_pair_trace(six_tm, monkeypatch):
+    real = links_mod._side_roots
+
+    def wrong(tree, sets):
+        roots, roots_t = real(tree, sets)
+        return roots, {**roots_t, "2": frozenset()}  # (1, 2) can no longer link
+
+    monkeypatch.setattr(links_mod, "_side_roots", wrong)
+    report = link_matrix(six_tm)
+    assert [(t.row, t.col) for t in report.mismatches] == [("1", "2")]
+    with pytest.raises(TheoremMismatchError) as err:
+        build_report(six_tm)
+    text = str(err.value)
+    assert (
+        "link verdict for (1, 2) is False but inverse entry is 2; "
+        "trace: column 2 is not a transpose root of side 2"
+    ) in text
+    assert '"root": "I"' in text
 
 
 def test_trace_rejects_equal_leaves(six_tm, six_sets):

@@ -184,3 +184,46 @@ def test_zero_multiplier_rows_not_skipped():
 
 def test_empty_matrix_kernel():
     assert _kernels_py.inverse_scaled([]) == (1, [])
+
+
+def _plain_sums(m: RationalMatrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    rows = tuple(sum(row, Fraction(0)) for row in m.rows)
+    cols = tuple(sum(col, Fraction(0)) for col in zip(*m.rows))
+    return rows, cols
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1], [1, 0]],  # negative determinant
+        # the first pivot needs a row swap; fractional entries set the scale
+        [[0, Fraction(1, 2), 2], [3, 1, Fraction(-1, 3)], [1, 0, 4]],
+        [[2, 1], [3, 3]],
+    ],
+)
+def test_inverse_integer_form_sums(rows):
+    inv = RationalMatrix(rows).inverse()
+    denom, nums = inv.integer_form()
+    assert denom > 0
+    assert [[Fraction(x, denom) for x in row] for row in nums] == [
+        list(row) for row in inv.rows
+    ]
+    assert (inv.row_sums(), inv.col_sums()) == _plain_sums(inv)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_form_sums_on_any_matrix(seed):
+    rng = random.Random(seed)
+    m = random_rational_matrix(rng, rng.randint(1, 6))
+    denom, nums = m.integer_form()
+    assert denom > 0 and len(nums) == m.nrows
+    assert (m.row_sums(), m.col_sums()) == _plain_sums(m)
+    assert m.integer_form() is m.integer_form()  # computed once
+
+
+def test_from_integer_form():
+    m = RationalMatrix.from_integer_form(6, [[3, -4], [0, 12]])
+    assert m == RationalMatrix([[Fraction(1, 2), Fraction(-2, 3)], [0, 2]])
+    assert m.integer_form() == (6, ((3, -4), (0, 12)))
+    with pytest.raises(ValueError):
+        RationalMatrix.from_integer_form(-1, [[1]])
