@@ -101,14 +101,13 @@ def _climb(
     meet: str,
     anchor: str,
     entry: Fraction,
-    steps: Optional[list[str]] = None,
+    steps: list[str],
 ) -> tuple[str, bool]:
     """Rules (ii.b) and (ii.c) for an off-spine meet whose side roots hold.
 
     Climbs the ancestors strictly between ``meet`` and its spine anchor,
     then compares ``entry`` with the anchor's alpha.  Returns the deciding
-    rule and the verdict; each step taken is appended to ``steps`` when
-    given.
+    rule and the verdict, and appends each step taken to ``steps``.
     """
     tree = tm.tree
     prev = meet
@@ -119,8 +118,7 @@ def _climb(
             prev, node = node, tree.parent(node)
             continue
         if entry < alpha:  # impossible for valid annotations; defensive
-            if steps is not None:
-                steps.append(f"entry {entry} below alpha({node}) = {alpha}")
+            steps.append(f"entry {entry} below alpha({node}) = {alpha}")
             return "(ii.b)", False
         node_minus, node_plus = tree.children(node)
         if prev == node_minus:
@@ -130,21 +128,18 @@ def _climb(
             blocked = TreeEdge(node, node_plus) in sets.gamma
             side = "plus"
         if blocked:
-            if steps is not None:
-                steps.append(
-                    f"tie at {node} ({side} side): beta attained on the opposite side"
-                )
+            steps.append(
+                f"tie at {node} ({side} side): beta attained on the opposite side"
+            )
             return "(ii.b)", False
-        if steps is not None:
-            steps.append(f"tie at {node} ({side} side) survives")
+        steps.append(f"tie at {node} ({side} side) survives")
         prev, node = node, tree.parent(node)
 
     threshold = tm.alpha(anchor)
     ok = entry > threshold
-    if steps is not None:
-        steps.append(
-            f"entry {entry} {'>' if ok else '<='} alpha({anchor}) = {threshold}"
-        )
+    steps.append(
+        f"entry {entry} {'>' if ok else '<='} alpha({anchor}) = {threshold}"
+    )
     return "(ii.c)", ok
 
 
@@ -279,7 +274,7 @@ def _linked_block(
     if not (rows and cols):
         return none, none
     entry = tm.alpha(meet) if upper else tm.beta(meet)
-    _, ok = _climb(tm, sets, meet, tree.spine_anchor(meet), entry)
+    _, ok = _climb(tm, sets, meet, tree.spine_anchor(meet), entry, [])
     return (rows, cols) if ok else (none, none)
 
 

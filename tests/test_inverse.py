@@ -226,9 +226,10 @@ def test_transition_kernel_explicit_eta(six_inverse):
     assert kernel.eta_min == Fraction(11, 8)
 
 
-def test_transition_kernel_eta_too_small(six_inverse):
+@pytest.mark.parametrize("eta", [1, 0, Fraction(-1, 2), Fraction(11, 8) - Fraction(1, 100)])
+def test_transition_kernel_eta_too_small(six_inverse, eta):
     with pytest.raises(EtaTooSmallError):
-        transition_kernel(six_inverse, 1)
+        transition_kernel(six_inverse, eta)
 
 
 def test_transition_kernel_gu_matrix():
@@ -251,12 +252,6 @@ def test_transition_kernel_rejects_column_sum_above_one():
     # Column 0 of the inverse sums to -1, so column 0 of P sums to 2.
     with pytest.raises(ValueError, match="kernel column 0 sums to 2 > 1"):
         transition_kernel(RationalMatrix([[1, 0], [-2, 1]]))
-
-
-@pytest.mark.parametrize("eta", [0, Fraction(-1, 2), Fraction(11, 8) - Fraction(1, 100)])
-def test_transition_kernel_eta_below_the_diagonal(six_inverse, eta):
-    with pytest.raises(EtaTooSmallError):
-        transition_kernel(six_inverse, eta)
 
 
 @pytest.mark.parametrize("eta", [None, Fraction(11, 8), 2, Fraction(7, 3)])
