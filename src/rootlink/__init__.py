@@ -42,7 +42,6 @@ from .inverse import (
     tree_masses,
     verify_mass_recursion,
 )
-from .kernels import BACKEND
 from .links import (
     BlockPattern,
     LinkReport,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BACKEND",
     # tree
     "DyadicTree",
     "TreeEdge",

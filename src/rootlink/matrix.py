@@ -3,10 +3,13 @@
 :class:`RationalMatrix` stores :class:`~fractions.Fraction` entries in
 immutable row tuples.  Inversion and multiplication clear denominators with
 one LCM per matrix and run on the integer kernels, so results are exact and
-the hot loops stay in :mod:`rootlink.kernels`.  Every matrix also has an
-*integer form* ``(d, N)`` with ``d > 0`` and ``self == N / d`` entrywise; an
-inverse keeps the one its elimination produced, and row and column sums add
-its integers instead of fractions.
+the hot loops stay in :mod:`rootlink.kernels`.  :meth:`RationalMatrix.inverse`
+calls ``kernels.inverse_scaled``: a fraction-free (Bareiss) LU elimination of
+the rows below each pivot, then one back substitution per column of the
+carried identity, which returns ``det`` and the adjugate exactly.  Every
+matrix also has an *integer form* ``(d, N)`` with ``d > 0`` and
+``self == N / d`` entrywise; an inverse keeps the one its elimination
+produced, and row and column sums add its integers instead of fractions.
 """
 
 from __future__ import annotations

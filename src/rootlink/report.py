@@ -111,12 +111,14 @@ def build_report(
     link_report = link_matrix(tm, sets, minv)
     if not link_report.agrees:
         bad = link_report.mismatches[0]
+        entry = minv[tree.leaf_index(bad.row), tree.leaf_index(bad.col)]
         raise TheoremMismatchError(
             _counterexample(
                 tm,
                 minv,
                 f"link verdict for ({bad.row}, {bad.col}) is {bad.linked} but "
-                f"inverse entry is {bad.entry}; trace: " + "; ".join(bad.steps),
+                f"inverse entry is {entry} (matrix entry {bad.entry}); "
+                "trace: " + "; ".join(bad.steps),
             )
         )
 

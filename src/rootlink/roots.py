@@ -295,15 +295,16 @@ class MassBoundReport:
     messages: tuple[str, ...]
 
 
-def diagonal_mass_bounds(m: RationalMatrix) -> MassBoundReport:
+def diagonal_mass_bounds(m: RationalMatrix, inv: RationalMatrix) -> MassBoundReport:
     """Check ``diag * mass >= 1`` per entry, with tightness iff a constant column.
 
-    Applies to restrictions at off-spine nodes (and to the minus side of the
-    root split); the full matrix violates these bounds in general because of
-    its constant fixed-leaf row.
+    ``inv`` is the exact inverse of ``m`` (for a restriction, the one its
+    :class:`~rootlink.inverse.RestrictionCache` already holds); the mass is
+    the sum of its entries.  Applies to restrictions at off-spine nodes (and
+    to the minus side of the root split); the full matrix violates these
+    bounds in general because of its constant fixed-leaf row.
     """
-    inv = m.inverse()
-    mass = sum((x for row in inv.rows for x in row), Fraction(0))
+    mass = sum(inv.row_sums(), Fraction(0))
     diag = m.diagonal()
     products = tuple(d * mass for d in diag)
     max_diag = max(diag)

@@ -366,7 +366,9 @@ def _suite_mass_bounds(ctx: InstanceContext) -> list[str]:
     for node in ctx.tree.preorder:
         if ctx.tree.on_spine(node):
             continue
-        report = diagonal_mass_bounds(ctx.cache.restricted(node).matrix)
+        report = diagonal_mass_bounds(
+            ctx.cache.restricted(node).matrix, ctx.cache.inverse(node)
+        )
         if not report.ok:
             out.extend(f"at {node}: {msg}" for msg in report.messages)
     return out

@@ -147,8 +147,8 @@ def test_wrong_side_roots_raise_with_the_pair_trace(six_tm, monkeypatch):
         build_report(six_tm)
     text = str(err.value)
     assert (
-        "link verdict for (1, 2) is False but inverse entry is 2; "
-        "trace: column 2 is not a transpose root of side 2"
+        "link verdict for (1, 2) is False but inverse entry is -1/2 "
+        "(matrix entry 2); trace: column 2 is not a transpose root of side 2"
     ) in text
     assert '"root": "I"' in text
 

@@ -7,16 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from rootlink import RationalMatrix, to_fraction
-from rootlink import _kernels_py
+from rootlink import RationalMatrix, build_matrix, kernels, random_instance, to_fraction
 from rootlink.errors import SingularMatrixError
 
-try:
-    from rootlink import _kernels as _kernels_c
-except ImportError:  # pure-Python install
-    _kernels_c = None
+from conftest import caterpillar
 
-KERNELS = [_kernels_py] + ([_kernels_c] if _kernels_c is not None else [])
+# The kernels are pure Python; "python" names them in the test ids.
+KERNELS = pytest.mark.parametrize("kernel", [kernels], ids=["python"])
 
 
 def gauss_jordan_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
@@ -35,6 +32,24 @@ def gauss_jordan_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]] | N
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def fraction_det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant by Fraction elimination with partial pivoting."""
+    work = [list(row) for row in rows]
+    det = Fraction(1)
+    for col in range(len(work)):
+        piv = next((r for r in range(col, len(work)) if work[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            det = -det
+        det *= work[col][col]
+        for r in range(col + 1, len(work)):
+            factor = work[r][col] / work[col][col]
+            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return det
 
 
 def random_rational_matrix(rng: random.Random, n: int) -> RationalMatrix:
@@ -139,7 +154,7 @@ def test_det_matches_cofactor_expansion():
         assert m.det() == cofactor_det([list(row) for row in m.rows])
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.BACKEND)
+@KERNELS
 @pytest.mark.parametrize("seed", range(8))
 def test_kernel_inverse_scaled(kernel, seed):
     rng = random.Random(seed)
@@ -155,7 +170,7 @@ def test_kernel_inverse_scaled(kernel, seed):
     assert [[Fraction(x, det) for x in row] for row in adj] == expected
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.BACKEND)
+@KERNELS
 def test_kernel_matmul_int(kernel):
     a = [[1, 2], [3, 4]]
     b = [[5, 6], [7, 8]]
@@ -163,15 +178,76 @@ def test_kernel_matmul_int(kernel):
     assert kernel.matmul_int([], []) == []
 
 
-@pytest.mark.skipif(_kernels_c is None, reason="compiled kernel not built")
-@pytest.mark.parametrize("seed", range(6))
-def test_backends_agree(seed):
-    rng = random.Random(1000 + seed)
-    n = rng.randint(1, 8)
-    a = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
-    assert _kernels_py.inverse_scaled([r[:] for r in a]) == _kernels_c.inverse_scaled(
-        [r[:] for r in a]
-    )
+def _check_against_gauss_jordan(a: list[list[int]]) -> None:
+    copy = [row[:] for row in a]
+    result = kernels.inverse_scaled(a)
+    assert a == copy  # the input is not modified
+    fractions = [[Fraction(x) for x in row] for row in a]
+    expected = gauss_jordan_inverse(fractions)
+    if expected is None:
+        assert result is None
+        return
+    det, adj = result
+    assert det == fraction_det(fractions)
+    assert [[Fraction(x, det) for x in row] for row in adj] == expected
+
+
+def _zero_leading_minor(rng: random.Random, n: int, k: int) -> list[list[int]]:
+    """A matrix whose leading (k+1)-minor vanishes: step k must swap rows."""
+    a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    c = [rng.randint(-2, 2) for _ in range(k)]
+    a[k][: k + 1] = [sum(ci * a[i][j] for i, ci in enumerate(c)) for j in range(k + 1)]
+    return a
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_kernel_matches_gauss_jordan_with_late_pivots(n):
+    rng = random.Random(7000 + n)
+    for _ in range(6):
+        _check_against_gauss_jordan([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+    for k in range(1, n - 1):
+        a = _zero_leading_minor(rng, n, k)
+        leading = [[Fraction(x) for x in row[: k + 1]] for row in a[: k + 1]]
+        assert gauss_jordan_inverse(leading) is None  # no pivot in place at step k
+        _check_against_gauss_jordan(a)
+    if n >= 2:
+        # singular, but only the last pivot shows it
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        while fraction_det([[Fraction(x) for x in row[:-1]] for row in a[:-1]]) == 0:
+            a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        c = [rng.randint(-3, 3) for _ in range(n - 1)]
+        a[-1] = [sum(ci * a[i][j] for i, ci in enumerate(c)) for j in range(n)]
+        assert kernels.inverse_scaled(a) is None
+        _check_against_gauss_jordan(a)
+        # a row swap flips the sign of the determinant
+        b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        result = kernels.inverse_scaled(b)
+        if result is not None:
+            b[0], b[1] = b[1], b[0]
+            assert kernels.inverse_scaled(b)[0] == -result[0]
+            _check_against_gauss_jordan(b)
+
+
+def _assert_adjugate(ints: list[list[int]]) -> None:
+    det, adj = kernels.inverse_scaled(ints)
+    n = len(ints)
+    assert det != 0
+    assert kernels.matmul_int(ints, adj) == [
+        [det if i == j else 0 for j in range(n)] for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("leaves", [32, 56, 80])
+def test_kernel_adjugate_on_strict_instances(leaves):
+    tm = build_matrix(*random_instance(leaves, leaves, "strict", min_leaves=leaves))
+    _, ints = tm.matrix.integer_form()
+    _assert_adjugate([list(row) for row in ints])
+
+
+@pytest.mark.parametrize("leaves", [21, 41, 61])
+def test_kernel_adjugate_on_caterpillars(leaves):
+    _, ints = caterpillar(leaves, leaves).matrix.integer_form()
+    _assert_adjugate([list(row) for row in ints])
 
 
 def test_zero_multiplier_rows_not_skipped():
@@ -183,7 +259,7 @@ def test_zero_multiplier_rows_not_skipped():
 
 
 def test_empty_matrix_kernel():
-    assert _kernels_py.inverse_scaled([]) == (1, [])
+    assert kernels.inverse_scaled([]) == (1, [])
 
 
 def _plain_sums(m: RationalMatrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
