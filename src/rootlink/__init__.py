@@ -39,7 +39,6 @@ from .inverse import (
     potentials,
     schur_blocks,
     transition_kernel,
-    tree_masses,
     verify_mass_recursion,
 )
 from .links import (
@@ -64,6 +63,7 @@ from .roots import (
     fixed_leaf_exit,
     roots_structural,
     roots_transpose,
+    tree_masses,
 )
 from .selftest import SelftestOutcome, regression_instances, run_selftest
 from .specfile import format_spec, parse_spec
@@ -89,7 +89,6 @@ __all__ = [
     "random_instance",
     # inversion
     "potentials",
-    "tree_masses",
     "PotentialReport",
     "RestrictionCache",
     "SchurBlocks",
@@ -103,6 +102,7 @@ __all__ = [
     "StructureSets",
     "build_structure_sets",
     "roots_transpose",
+    "tree_masses",
     "ExitReport",
     "fixed_leaf_exit",
     "StructuralRootSet",

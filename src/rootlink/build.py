@@ -220,7 +220,7 @@ def build_matrix(tree: DyadicTree, annotation: Annotation) -> "TreeMatrix":
 class TreeMatrix:
     """A leaf-indexed matrix together with its tree and annotation."""
 
-    __slots__ = ("tree", "annotation", "matrix")
+    __slots__ = ("tree", "annotation", "matrix", "_restricted")
 
     def __init__(
         self, tree: DyadicTree, annotation: Annotation, matrix: RationalMatrix
@@ -228,6 +228,7 @@ class TreeMatrix:
         self.tree = tree
         self.annotation = annotation
         self.matrix = matrix
+        self._restricted: dict[str, TreeMatrix] = {}
 
     @property
     def leaves(self) -> tuple[str, ...]:
@@ -250,18 +251,22 @@ class TreeMatrix:
         is *not* rebuilt through the entry rule: below an off-spine node the
         submatrix generally differs from the matrix the restricted tree would
         build on its own, because the original fixed leaf lies outside.
+        Each restriction is made once and kept, so every caller shares its
+        matrix and that matrix's inverse.
         """
-        if node not in self.tree:
-            raise UnknownNodeError(node)
         if node == self.tree.root:
             return self
-        subtree = build_tree(self.tree.subtree_children(node), node)
-        idx = [self.tree.leaf_index(leaf) for leaf in subtree.leaf_order]
-        return TreeMatrix(
-            subtree,
-            self.annotation.restrict_to(subtree.preorder),
-            self.matrix.submatrix(idx, idx),
-        )
+        if node not in self._restricted:
+            if node not in self.tree:
+                raise UnknownNodeError(node)
+            subtree = build_tree(self.tree.subtree_children(node), node)
+            idx = [self.tree.leaf_index(leaf) for leaf in subtree.leaf_order]
+            self._restricted[node] = TreeMatrix(
+                subtree,
+                self.annotation.restrict_to(subtree.preorder),
+                self.matrix.submatrix(idx, idx),
+            )
+        return self._restricted[node]
 
     def __repr__(self) -> str:
         return (

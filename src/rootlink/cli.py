@@ -93,8 +93,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     tree, annotation = parse_spec(_read_document(args.path))
-    tm = build_matrix(tree, annotation)
-    doc = build_report(tm, args.eta, args.neumann)
+    # No reference to the matrix outlives build_report, so the inverse it
+    # keeps is freed before the document renders.
+    doc = build_report(build_matrix(tree, annotation), args.eta, args.neumann)
     sys.stdout.write(render_report(doc, args.format))
     return 0
 

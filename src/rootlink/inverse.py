@@ -1,12 +1,14 @@
-"""Exact inversion reports: potentials, tree masses, root-split blocks, kernels.
+"""Exact inversion reports: potentials, root-split blocks, kernels.
 
 The elimination-based :meth:`RationalMatrix.inverse` is the ground truth
-and the only inverse.  The total mass of every node's restriction comes
-without inversion from the tree recursion (:func:`tree_masses`); it and
-the closed-form block decomposition at the root split are cross-checked
-against the elimination inverse.  The transition kernel
-``P = I - (1/eta) * inverse`` and its Neumann partial sums round out the
-probabilistic reading of the inverse.
+and the only inverse.  A matrix keeps its inverse and a
+:class:`~rootlink.build.TreeMatrix` keeps its restrictions, so every check
+on one instance reads the same eliminations; :class:`RestrictionCache` is
+the per-node view of them (restriction, inverse, potentials, mass) that
+the self-test reads.  The closed-form block decomposition at the root
+split is cross-checked against the elimination inverse.  The transition
+kernel ``P = I - (1/eta) * inverse`` and its Neumann partial sums round
+out the probabilistic reading of the inverse.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from .build import TreeMatrix
 from .errors import (
@@ -23,11 +25,11 @@ from .errors import (
     TheoremMismatchError,
 )
 from .matrix import Rational, RationalMatrix, to_fraction
+from .roots import StructureSets, build_structure_sets
 
 __all__ = [
     "PotentialReport",
     "potentials",
-    "tree_masses",
     "RestrictionCache",
     "SchurBlocks",
     "schur_blocks",
@@ -56,110 +58,40 @@ class PotentialReport:
 
 def potentials(minv: RationalMatrix) -> PotentialReport:
     """Potentials of an (already inverted) matrix: mu rows, nu columns."""
-    mu = minv.row_sums()
-    nu = minv.col_sums()
-    return PotentialReport(mu, nu, sum(mu, Fraction(0)))
-
-
-def tree_masses(tm: TreeMatrix, node: Optional[str] = None) -> dict[str, Fraction]:
-    """Total inverse mass of the restriction at every node below ``node``.
-
-    Computed bottom-up from the tree, with no inversion:
-
-    * a leaf has mass ``1/alpha``;
-    * a spine node has mass ``1/U[n,n]`` (its restriction keeps the
-      constant fixed-leaf row), which is the mass of its plus child;
-    * an off-spine node ``t`` with children ``a``, ``b`` restricts to
-      ``[[U_a, alpha*J], [beta*J, U_b]]``, so
-      ``m_t = (m_a(1 - alpha m_b) + m_b(1 - beta m_a)) / (1 - alpha beta m_a m_b)``.
-
-    ``det U`` is the product of the leaf values, the spine factors
-    ``1 - alpha*m_minus`` and the off-spine denominators, so a vanishing
-    one raises :class:`SingularMatrixError` naming its node exactly when
-    some restriction below ``node`` is singular.  The masses are those of
-    ``tm``'s restrictions whenever its fixed-leaf row is constant, as it is
-    for every matrix :func:`~rootlink.build.build_matrix` makes.
-    """
-    tree = tm.tree
-    top = tree.root if node is None else node
-    lo, hi = tree.leaf_span(top)
-    start = tree.preorder.index(top)
-    masses: dict[str, Fraction] = {}
-    # A subtree is a contiguous run of 2k - 1 nodes in preorder.
-    for t in reversed(tree.preorder[start : start + 2 * (hi - lo) - 1]):
-        kids = tree.children(t)
-        alpha = tm.alpha(t)
-        if not kids:
-            if alpha == 0:
-                raise SingularMatrixError(f"leaf value vanishes at node {t!r}")
-            masses[t] = 1 / alpha
-            continue
-        m_a, m_b = masses[kids[0]], masses[kids[1]]
-        if tree.on_spine(t):
-            if 1 - alpha * m_a == 0:
-                raise SingularMatrixError(
-                    f"spine denominator vanishes at node {t!r}"
-                )
-            masses[t] = m_b
-            continue
-        beta = tm.beta(t)
-        denom = 1 - alpha * beta * m_a * m_b
-        if denom == 0:
-            raise SingularMatrixError(
-                f"off-spine denominator vanishes at node {t!r}"
-            )
-        masses[t] = (m_a * (1 - alpha * m_b) + m_b * (1 - beta * m_a)) / denom
-    return masses
+    return PotentialReport(minv.row_sums(), minv.col_sums(), minv.total())
 
 
 class RestrictionCache:
-    """Memoized restrictions, elimination inverses and potentials per tree node.
+    """One instance's oracle side, per tree node: restriction, inverse, potentials.
 
-    This is the oracle side: every inverse here comes from elimination.
-    Pass ``inverse`` when the full matrix is already inverted, so the root
-    is never inverted again.
+    Every inverse here comes from elimination.  Restrictions and inverses
+    are kept on ``tm`` and its matrices, so all views of one ``tm`` share
+    them; a view adds only its structure sets and the potentials it read.
     """
 
-    __slots__ = ("tm", "_restricted", "_inverse", "_potential")
-
-    def __init__(self, tm: TreeMatrix, inverse: Optional[RationalMatrix] = None):
+    def __init__(self, tm: TreeMatrix):
         self.tm = tm
-        self._restricted: dict[str, TreeMatrix] = {tm.tree.root: tm}
-        self._inverse: dict[str, RationalMatrix] = {}
         self._potential: dict[str, PotentialReport] = {}
-        if inverse is not None:
-            self._inverse[tm.tree.root] = inverse
-            self._potential[tm.tree.root] = potentials(inverse)
+
+    @cached_property
+    def sets(self) -> StructureSets:
+        return build_structure_sets(self.tm.tree, self.tm.annotation)
 
     def restricted(self, node: str) -> TreeMatrix:
-        try:
-            return self._restricted[node]
-        except KeyError:
-            sub = self.tm.restrict(node)
-            self._restricted[node] = sub
-            return sub
+        return self.tm.restrict(node)
 
     def inverse(self, node: str) -> RationalMatrix:
         try:
-            return self._inverse[node]
-        except KeyError:
-            pass
-        try:
-            inv = self.restricted(node).matrix.inverse()
+            return self.tm.restrict(node).matrix.inverse()
         except SingularMatrixError:
             raise SingularMatrixError(
                 f"restriction at node {node!r} is singular"
             ) from None
-        self._inverse[node] = inv
-        return inv
 
     def potential(self, node: str) -> PotentialReport:
-        try:
-            return self._potential[node]
-        except KeyError:
-            report = potentials(self.inverse(node))
-            self._potential[node] = report
-            return report
+        if node not in self._potential:
+            self._potential[node] = potentials(self.inverse(node))
+        return self._potential[node]
 
     def mass(self, node: str) -> Fraction:
         return self.potential(node).mu_bar
@@ -189,7 +121,7 @@ class SchurBlocks:
         return RationalMatrix(rows)
 
 
-def schur_blocks(tm: TreeMatrix, cache: Optional[RestrictionCache] = None) -> SchurBlocks:
+def schur_blocks(tm: TreeMatrix) -> SchurBlocks:
     """Compute the four inverse blocks at the root split and verify them.
 
     The assembled blocks are compared entry-for-entry against the
@@ -200,7 +132,7 @@ def schur_blocks(tm: TreeMatrix, cache: Optional[RestrictionCache] = None) -> Sc
     tree = tm.tree
     if tree.is_leaf(tree.root):
         raise ValueError("root split requires at least 2 leaves")
-    cache = cache or RestrictionCache(tm)
+    cache = RestrictionCache(tm)
     full_inverse = cache.inverse(tree.root)
 
     minus, plus = tree.children(tree.root)
@@ -264,9 +196,7 @@ class MassRecursionReport:
     messages: tuple[str, ...]
 
 
-def verify_mass_recursion(
-    tm: TreeMatrix, cache: Optional[RestrictionCache] = None
-) -> MassRecursionReport:
+def verify_mass_recursion(tm: TreeMatrix) -> MassRecursionReport:
     """Check the exact recursion tying the full potentials to the split blocks.
 
     Verifies that the full row-sum potential equals the minus-side potential
@@ -278,7 +208,7 @@ def verify_mass_recursion(
     tree = tm.tree
     if tree.is_leaf(tree.root):
         raise ValueError("mass recursion requires at least 2 leaves")
-    cache = cache or RestrictionCache(tm)
+    cache = RestrictionCache(tm)
     full = cache.potential(tree.root)
     minus, plus = tree.children(tree.root)
     pot_minus = cache.potential(minus)

@@ -278,27 +278,22 @@ def _linked_block(
     return (rows, cols) if ok else (none, none)
 
 
-def link_matrix(
-    tm: TreeMatrix,
-    sets: Optional[StructureSets] = None,
-    minv: Optional[RationalMatrix] = None,
-) -> LinkReport:
+def link_matrix(tm: TreeMatrix, sets: Optional[StructureSets] = None) -> LinkReport:
     """Evaluate every ordered leaf pair structurally and against the oracle.
 
     Off the spine, a pair's verdict depends only on its meet, its direction
     and side-root membership, so the verdicts come per (meet, direction)
     block: the side roots of every node are computed once, bottom-up, and
     each block needs one climb.  The linked pairs are compared with the
-    negative entries of ``minv``; :func:`link_structural` runs only on the
-    pairs that disagree, and :attr:`LinkReport.traces` builds all traces on
-    first read.
+    negative entries of the exact inverse that ``tm.matrix`` keeps;
+    :func:`link_structural` runs only on the pairs that disagree, and
+    :attr:`LinkReport.traces` builds all traces on first read.
     """
     sets = sets or build_structure_sets(tm.tree, tm.annotation)
-    minv = minv if minv is not None else tm.matrix.inverse()
     tree = tm.tree
     leaves = tm.leaves
     side_roots = _side_roots(tree, sets)
-    _, nums = minv.integer_form()
+    _, nums = tm.matrix.inverse().integer_form()
     links = []
     oracle_links = []
     bad = []

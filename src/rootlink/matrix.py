@@ -4,12 +4,13 @@
 immutable row tuples.  Inversion and multiplication clear denominators with
 one LCM per matrix and run on the integer kernels, so results are exact and
 the hot loops stay in :mod:`rootlink.kernels`.  :meth:`RationalMatrix.inverse`
-calls ``kernels.inverse_scaled``: a fraction-free (Bareiss) LU elimination of
-the rows below each pivot, then one back substitution per column of the
-carried identity, which returns ``det`` and the adjugate exactly.  Every
-matrix also has an *integer form* ``(d, N)`` with ``d > 0`` and
-``self == N / d`` entrywise; an inverse keeps the one its elimination
-produced, and row and column sums add its integers instead of fractions.
+calls ``kernels.inverse_scaled`` once per matrix and keeps the result.  The
+kernel is a fraction-free (Bareiss) LU elimination of the rows below each
+pivot, then one back substitution per column of the carried identity,
+which returns ``det`` and the adjugate exactly.  Every matrix also has an
+*integer form* ``(d, N)`` with ``d > 0`` and ``self == N / d`` entrywise;
+an inverse keeps the one its elimination produced, and row and column
+sums add its integers instead of fractions.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def to_fraction(value: Rational) -> Fraction:
 class RationalMatrix:
     """Immutable matrix of exact rationals."""
 
-    __slots__ = ("_rows", "nrows", "ncols", "_int")
+    __slots__ = ("_rows", "nrows", "ncols", "_int", "_inv")
 
     def __init__(self, rows: Iterable[Iterable[Rational]]):
         data = tuple(tuple(to_fraction(x) for x in row) for row in rows)
@@ -56,6 +57,7 @@ class RationalMatrix:
         self.nrows = len(data)
         self.ncols = len(data[0]) if data else 0
         self._int: Optional[tuple[int, tuple[tuple[int, ...], ...]]] = None
+        self._inv: Optional[RationalMatrix] = None
 
     # -- construction ------------------------------------------------------
 
@@ -71,6 +73,7 @@ class RationalMatrix:
         out.nrows = len(out._rows)
         out.ncols = len(out._rows[0]) if out._rows else 0
         out._int = integer_form
+        out._inv = None
         return out
 
     @classmethod
@@ -163,6 +166,11 @@ class RationalMatrix:
         denom, nums = self.integer_form()
         return tuple(Fraction(sum(col), denom) for col in zip(*nums))
 
+    def total(self) -> Fraction:
+        """Sum of all entries, added as integers over the common denominator."""
+        denom, nums = self.integer_form()
+        return Fraction(sum(map(sum, nums)), denom)
+
     def submatrix(
         self, row_idx: Sequence[int], col_idx: Sequence[int]
     ) -> "RationalMatrix":
@@ -235,7 +243,13 @@ class RationalMatrix:
     # -- linear algebra --------------------------------------------------------
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse; raises :class:`SingularMatrixError` when det = 0."""
+        """Exact inverse; raises :class:`SingularMatrixError` when det = 0.
+
+        The inverse is computed on first call and kept, so every caller
+        holding this matrix shares one elimination.
+        """
+        if self._inv is not None:
+            return self._inv
         if self.nrows != self.ncols:
             raise ValueError(f"matrix is not square: {self.shape}")
         scale, ints = self._scaled_int()
@@ -246,9 +260,10 @@ class RationalMatrix:
             )
         det, adj = result
         factor = scale if det > 0 else -scale
-        return RationalMatrix.from_integer_form(
+        self._inv = RationalMatrix.from_integer_form(
             abs(det), ((factor * x for x in row) for row in adj)
         )
+        return self._inv
 
     def det(self) -> Fraction:
         """Exact determinant."""

@@ -4,9 +4,10 @@ A report gathers every analysis for one instance into a plain dict whose
 numbers are exact rational strings (floats appear only in the optional
 Neumann gap diagnostics).  Rendering is deterministic: the same instance
 and flags always produce byte-identical output.  The matrix is inverted
-exactly once; structural verdicts, the tree-recursion masses behind the
-exit inequality and the transition kernel are cross-checked against that
-inverse while the report is built, and any disagreement raises
+exactly once and keeps that inverse, which every check reads; structural
+verdicts, the tree-recursion masses behind the exit inequality and the
+transition kernel are cross-checked against it while the report is
+built, and any disagreement raises
 :class:`~rootlink.errors.TheoremMismatchError` carrying a counterexample
 dump instead of emitting a wrong document.
 """
@@ -20,7 +21,7 @@ from typing import Optional
 
 from .build import Annotation, TreeMatrix
 from .errors import EtaTooSmallError, TheoremMismatchError
-from .inverse import RestrictionCache, neumann_check, transition_kernel
+from .inverse import neumann_check, potentials, transition_kernel
 from .links import link_matrix, zero_pattern
 from .matrix import Rational, RationalMatrix
 from .roots import StructureSets, build_structure_sets, roots_structural, roots_transpose
@@ -66,10 +67,9 @@ def build_report(
     tree = tm.tree
     leaves = tm.leaves
     minv = tm.matrix.inverse()
-    cache = RestrictionCache(tm, minv)
-    pot = cache.potential(tree.root)
+    pot = potentials(minv)
     sets = build_structure_sets(tree, tm.annotation)
-    structural = roots_structural(tm, sets, cache=cache)
+    structural = roots_structural(tm, sets)
     exit_report = structural.exit
     assert exit_report is not None  # the root restriction is the matrix itself
     if not exit_report.identity_ok:
@@ -108,7 +108,7 @@ def build_report(
             )
         )
 
-    link_report = link_matrix(tm, sets, minv)
+    link_report = link_matrix(tm, sets)
     if not link_report.agrees:
         bad = link_report.mismatches[0]
         entry = minv[tree.leaf_index(bad.row), tree.leaf_index(bad.col)]

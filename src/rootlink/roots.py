@@ -7,9 +7,12 @@ minus edge to ``gamma_t`` unconditionally.  A leaf is then a structural
 root of a node's restriction exactly when its path up to that node avoids
 the relevant edge set — except for the fixed leaf of a spine restriction,
 whose verdict comes from an exact scalar inequality over the spine masses
-(taken from the tree recursion, not from inversion).
-All structural verdicts are cross-checked against the elimination inverse
-by the self-test suites.
+(taken from the tree recursion, :func:`tree_masses`, not from inversion).
+Only the oracle sides, :attr:`ExitReport.last_row_sum` and
+:func:`diagonal_mass_bounds`, read an elimination inverse: the one the
+restriction's matrix keeps, shared with every other caller.  All
+structural verdicts are cross-checked against the elimination inverse by
+the self-test suites.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from typing import Optional
 from .build import Annotation, TreeMatrix, validate_annotation
 from .errors import (
     InvalidAnnotationError,
+    SingularMatrixError,
     TheoremMismatchError,
     UnknownNodeError,
 )
-from .inverse import RestrictionCache, tree_masses
 from .matrix import RationalMatrix
 from .tree import DyadicTree, TreeEdge
 
@@ -32,6 +35,7 @@ __all__ = [
     "StructureSets",
     "build_structure_sets",
     "roots_transpose",
+    "tree_masses",
     "ExitReport",
     "fixed_leaf_exit",
     "StructuralRootSet",
@@ -123,6 +127,57 @@ def roots_transpose(
     )
 
 
+def tree_masses(tm: TreeMatrix, node: Optional[str] = None) -> dict[str, Fraction]:
+    """Total inverse mass of the restriction at every node below ``node``.
+
+    Computed bottom-up from the tree, with no inversion:
+
+    * a leaf has mass ``1/alpha``;
+    * a spine node has mass ``1/U[n,n]`` (its restriction keeps the
+      constant fixed-leaf row), which is the mass of its plus child;
+    * an off-spine node ``t`` with children ``a``, ``b`` restricts to
+      ``[[U_a, alpha*J], [beta*J, U_b]]``, so
+      ``m_t = (m_a(1 - alpha m_b) + m_b(1 - beta m_a)) / (1 - alpha beta m_a m_b)``.
+
+    ``det U`` is the product of the leaf values, the spine factors
+    ``1 - alpha*m_minus`` and the off-spine denominators, so a vanishing
+    one raises :class:`SingularMatrixError` naming its node exactly when
+    some restriction below ``node`` is singular.  The masses are those of
+    ``tm``'s restrictions whenever its fixed-leaf row is constant, as it is
+    for every matrix :func:`~rootlink.build.build_matrix` makes.
+    """
+    tree = tm.tree
+    top = tree.root if node is None else node
+    lo, hi = tree.leaf_span(top)
+    start = tree.preorder.index(top)
+    masses: dict[str, Fraction] = {}
+    # A subtree is a contiguous run of 2k - 1 nodes in preorder.
+    for t in reversed(tree.preorder[start : start + 2 * (hi - lo) - 1]):
+        kids = tree.children(t)
+        alpha = tm.alpha(t)
+        if not kids:
+            if alpha == 0:
+                raise SingularMatrixError(f"leaf value vanishes at node {t!r}")
+            masses[t] = 1 / alpha
+            continue
+        m_a, m_b = masses[kids[0]], masses[kids[1]]
+        if tree.on_spine(t):
+            if 1 - alpha * m_a == 0:
+                raise SingularMatrixError(
+                    f"spine denominator vanishes at node {t!r}"
+                )
+            masses[t] = m_b
+            continue
+        beta = tm.beta(t)
+        denom = 1 - alpha * beta * m_a * m_b
+        if denom == 0:
+            raise SingularMatrixError(
+                f"off-spine denominator vanishes at node {t!r}"
+            )
+        masses[t] = (m_a * (1 - alpha * m_b) + m_b * (1 - beta * m_a)) / denom
+    return masses
+
+
 @dataclass(frozen=True)
 class ExitReport:
     """Exact inequality deciding whether the fixed leaf is an exiting root."""
@@ -142,19 +197,15 @@ class ExitReport:
         return self.last_row_sum == self.lhs - self.rhs
 
 
-def fixed_leaf_exit(
-    tm: TreeMatrix,
-    node: Optional[str] = None,
-    cache: Optional[RestrictionCache] = None,
-) -> ExitReport:
+def fixed_leaf_exit(tm: TreeMatrix, node: Optional[str] = None) -> ExitReport:
     """Evaluate the exit inequality for the restriction at ``node``.
 
     The left side is the reciprocal of the fixed leaf's diagonal entry; the
     right side sums, over internal spine nodes of the restriction, the
     minus-side mass scaled by ``(1 - alpha*plus_mass)/(1 - alpha*minus_mass)``.
     Masses come from the tree recursion (:func:`tree_masses`), with no
-    inversion; only ``last_row_sum`` is read from the elimination inverse
-    held by ``cache``, which makes :attr:`ExitReport.identity_ok` a check
+    inversion; only ``last_row_sum`` is read from the restriction's
+    elimination inverse, which makes :attr:`ExitReport.identity_ok` a check
     of the recursion against the oracle.  Valid for restrictions at spine
     nodes of the original tree (where the fixed leaf's row is constant);
     elsewhere the inequality has no predictive content.
@@ -163,8 +214,9 @@ def fixed_leaf_exit(
     node = tree.root if node is None else node
     if node not in tree:
         raise UnknownNodeError(node)
-    cache = cache or RestrictionCache(tm)
     masses = tree_masses(tm, node)
+    scale, nums = tm.restrict(node).matrix.inverse().integer_form()
+    last_row_sum = Fraction(sum(nums[-1]), scale)
     fixed = tree.leaves_below(node)[-1]
     lhs = masses[fixed]  # 1/U[n,n]; the recursion raised on a zero
     rhs = Fraction(0)
@@ -189,7 +241,7 @@ def fixed_leaf_exit(
         tuple(terms),
         lhs >= rhs,
         lhs > rhs,
-        cache.potential(node).mu[-1],
+        last_row_sum,
     )
 
 
@@ -209,7 +261,6 @@ def roots_structural(
     tm: TreeMatrix,
     sets: StructureSets,
     node: Optional[str] = None,
-    cache: Optional[RestrictionCache] = None,
 ) -> StructuralRootSet:
     """Structural exiting roots of the restriction at ``node``.
 
@@ -241,8 +292,7 @@ def roots_structural(
 
     exit_report = None
     if on_spine:
-        cache = cache or RestrictionCache(tm)
-        exit_report = fixed_leaf_exit(tm, node, cache)
+        exit_report = fixed_leaf_exit(tm, node)
         if exit_report.exiting:
             roots.add(fixed)
     return StructuralRootSet(
@@ -295,16 +345,15 @@ class MassBoundReport:
     messages: tuple[str, ...]
 
 
-def diagonal_mass_bounds(m: RationalMatrix, inv: RationalMatrix) -> MassBoundReport:
+def diagonal_mass_bounds(m: RationalMatrix) -> MassBoundReport:
     """Check ``diag * mass >= 1`` per entry, with tightness iff a constant column.
 
-    ``inv`` is the exact inverse of ``m`` (for a restriction, the one its
-    :class:`~rootlink.inverse.RestrictionCache` already holds); the mass is
-    the sum of its entries.  Applies to restrictions at off-spine nodes (and
+    The mass is the sum of the entries of ``m``'s exact inverse (which ``m``
+    keeps once inverted).  Applies to restrictions at off-spine nodes (and
     to the minus side of the root split); the full matrix violates these
     bounds in general because of its constant fixed-leaf row.
     """
-    mass = sum(inv.row_sums(), Fraction(0))
+    mass = m.inverse().total()
     diag = m.diagonal()
     products = tuple(d * mass for d in diag)
     max_diag = max(diag)

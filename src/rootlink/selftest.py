@@ -4,10 +4,13 @@ The harness generates annotated trees, inverts them exactly, and checks
 every invariant the package relies on — tree geometry, matrix shape,
 potentials, tree-recursion masses, Schur assembly, exit inequalities, root
 sets, link verdicts, zero patterns, kernels, and document round-trips.
-Singular draws are counted and skipped (the structural theorems all
-hypothesize a nonsingular matrix).  Failures carry a reproducer document,
-minimized by re-running the failing suite on successively smaller spine
-restrictions.
+Each suite reads its instance through one
+:class:`~rootlink.inverse.RestrictionCache`; the library calls it makes
+(the report included) share that instance's restrictions and inverses, so
+each node's restriction is inverted at most once.  Singular draws are counted and skipped (the
+structural theorems all hypothesize a nonsingular matrix).  Failures carry
+a reproducer document, minimized by re-running the failing suite on
+successively smaller spine restrictions.
 """
 
 from __future__ import annotations
@@ -17,12 +20,10 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Optional
 
 from .build import (
     Annotation,
-    TreeMatrix,
     build_matrix,
     random_instance,
     validate_annotation,
@@ -33,24 +34,22 @@ from .inverse import (
     neumann_check,
     schur_blocks,
     transition_kernel,
-    tree_masses,
     verify_mass_recursion,
 )
 from .links import link_matrix, zero_pattern
 from .report import build_report, render_report
 from .roots import (
-    build_structure_sets,
     diagonal_mass_bounds,
     dominance_screens,
     fixed_leaf_exit,
     roots_structural,
     roots_transpose,
+    tree_masses,
 )
 from .specfile import format_spec, parse_spec
 from .tree import DyadicTree, build_tree
 
 __all__ = [
-    "InstanceContext",
     "SuiteCount",
     "SelftestFailure",
     "SelftestOutcome",
@@ -59,49 +58,20 @@ __all__ = [
 ]
 
 
-class InstanceContext:
-    """Shared lazily-computed artifacts for one annotated tree."""
-
-    def __init__(self, tree: DyadicTree, annotation: Annotation):
-        self.tree = tree
-        self.annotation = annotation
-        self.tm = build_matrix(tree, annotation)
-        self.cache = RestrictionCache(self.tm)
-
-    @property
-    def size(self) -> int:
-        return self.tm.matrix.nrows
-
-    @cached_property
-    def singular(self) -> bool:
-        try:
-            self.cache.inverse(self.tree.root)
-        except SingularMatrixError:
-            return True
-        return False
-
-    @property
-    def minv(self):
-        return self.cache.inverse(self.tree.root)
-
-    @property
-    def potential(self):
-        return self.cache.potential(self.tree.root)
-
-    @cached_property
-    def sets(self):
-        return build_structure_sets(self.tree, self.annotation)
-
-    def document(self) -> str:
-        return format_spec(self.tree, self.annotation)
+def _singular(ctx: RestrictionCache) -> bool:
+    try:
+        ctx.inverse(ctx.tm.tree.root)
+    except SingularMatrixError:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
 # suites: each returns a list of violation messages (empty = pass)
 
 
-def _suite_tree_geodesic(ctx: InstanceContext) -> list[str]:
-    tree = ctx.tree
+def _suite_tree_geodesic(ctx: RestrictionCache) -> list[str]:
+    tree = ctx.tm.tree
     out = []
     for leaf in tree.leaf_order:
         edges = tree.geodesic_edges(leaf, tree.root)
@@ -113,8 +83,8 @@ def _suite_tree_geodesic(ctx: InstanceContext) -> list[str]:
     return out
 
 
-def _suite_tree_lca(ctx: InstanceContext) -> list[str]:
-    tree = ctx.tree
+def _suite_tree_lca(ctx: RestrictionCache) -> list[str]:
+    tree = ctx.tm.tree
     out = []
     nodes = tree.preorder
     for a in nodes:
@@ -129,8 +99,8 @@ def _suite_tree_lca(ctx: InstanceContext) -> list[str]:
     return out
 
 
-def _suite_tree_leaf_split(ctx: InstanceContext) -> list[str]:
-    tree = ctx.tree
+def _suite_tree_leaf_split(ctx: RestrictionCache) -> list[str]:
+    tree = ctx.tm.tree
     out = []
     for node in tree.internal_nodes():
         minus, plus = tree.children(node)
@@ -140,8 +110,8 @@ def _suite_tree_leaf_split(ctx: InstanceContext) -> list[str]:
     return out
 
 
-def _suite_tree_spine(ctx: InstanceContext) -> list[str]:
-    tree = ctx.tree
+def _suite_tree_spine(ctx: RestrictionCache) -> list[str]:
+    tree = ctx.tm.tree
     out = []
     for node in tree.spine()[:-1]:
         if tree.fixed_leaf not in tree.leaves_below(tree.plus(node)):
@@ -149,11 +119,11 @@ def _suite_tree_spine(ctx: InstanceContext) -> list[str]:
     return out
 
 
-def _suite_annotation_valid(ctx: InstanceContext) -> list[str]:
-    return [str(v) for v in validate_annotation(ctx.tree, ctx.annotation)]
+def _suite_annotation_valid(ctx: RestrictionCache) -> list[str]:
+    return [str(v) for v in validate_annotation(ctx.tm.tree, ctx.tm.annotation)]
 
 
-def _suite_ultrametric(ctx: InstanceContext) -> list[str]:
+def _suite_ultrametric(ctx: RestrictionCache) -> list[str]:
     m = ctx.tm.matrix
     n = m.nrows
     for i in range(n):
@@ -166,14 +136,14 @@ def _suite_ultrametric(ctx: InstanceContext) -> list[str]:
     return []
 
 
-def _suite_root_split_shape(ctx: InstanceContext) -> list[str]:
-    tree = ctx.tree
+def _suite_root_split_shape(ctx: RestrictionCache) -> list[str]:
+    tree = ctx.tm.tree
     m = ctx.tm.matrix
     out = []
     minus, plus = tree.children(tree.root)
     jlo, jhi = tree.leaf_span(minus)
     klo, khi = tree.leaf_span(plus)
-    alpha = ctx.annotation.alpha(tree.root)
+    alpha = ctx.tm.alpha(tree.root)
     last = m.ncols - 1
     for i in range(jlo, jhi):
         for j in range(klo, khi):
@@ -186,12 +156,11 @@ def _suite_root_split_shape(ctx: InstanceContext) -> list[str]:
     return out
 
 
-def _suite_diagonal_rule(ctx: InstanceContext) -> list[str]:
-    tree = ctx.tree
+def _suite_diagonal_rule(ctx: RestrictionCache) -> list[str]:
     m = ctx.tm.matrix
     out = []
-    for i, leaf in enumerate(tree.leaf_order):
-        if m[i, i] != ctx.annotation.alpha(leaf):
+    for i, leaf in enumerate(ctx.tm.leaves):
+        if m[i, i] != ctx.tm.alpha(leaf):
             out.append(f"diagonal at {leaf} is {m[i, i]}")
     last = m.nrows - 1
     for j in range(m.ncols):
@@ -201,35 +170,38 @@ def _suite_diagonal_rule(ctx: InstanceContext) -> list[str]:
     return out
 
 
-def _suite_restrict_commutes(ctx: InstanceContext) -> list[str]:
+def _suite_restrict_commutes(ctx: RestrictionCache) -> list[str]:
     out = []
-    for node in ctx.tree.spine():
-        if ctx.tree.is_leaf(node):
+    tree = ctx.tm.tree
+    for node in tree.spine():
+        if tree.is_leaf(node):
             continue
-        sub = ctx.cache.restricted(node)
+        sub = ctx.restricted(node)
         rebuilt = build_matrix(sub.tree, sub.annotation)
         if sub.matrix != rebuilt.matrix:
             out.append(f"restriction at spine node {node} differs from a rebuild")
     return out
 
 
-def _suite_document_roundtrip(ctx: InstanceContext) -> list[str]:
-    text = ctx.document()
+def _suite_document_roundtrip(ctx: RestrictionCache) -> list[str]:
+    tree, annotation = ctx.tm.tree, ctx.tm.annotation
+    text = format_spec(tree, annotation)
     tree2, ann2 = parse_spec(text)
     out = []
-    if tree2.preorder != ctx.tree.preorder:
+    if tree2.preorder != tree.preorder:
         out.append("preorder changed across a document round-trip")
-    elif any(tree2.children(n) != ctx.tree.children(n) for n in ctx.tree.preorder):
+    elif any(tree2.children(n) != tree.children(n) for n in tree.preorder):
         out.append("child structure changed across a document round-trip")
-    if ann2 != ctx.annotation:
+    if ann2 != annotation:
         out.append("annotation changed across a document round-trip")
     if format_spec(tree2, ann2) != text:
         out.append("document serialization is not a fixpoint")
     return out
 
 
-def _suite_inverse_sign(ctx: InstanceContext) -> list[str]:
-    minv = ctx.minv
+def _suite_inverse_sign(ctx: RestrictionCache) -> list[str]:
+    root = ctx.tm.tree.root
+    minv = ctx.inverse(root)
     out = []
     for i in range(minv.nrows):
         if minv[i, i] <= 0:
@@ -237,15 +209,15 @@ def _suite_inverse_sign(ctx: InstanceContext) -> list[str]:
         for j in range(minv.ncols):
             if i != j and minv[i, j] > 0:
                 out.append(f"inverse off-diagonal ({i},{j}) is positive: {minv[i, j]}")
-    for j, v in enumerate(ctx.potential.nu):
+    for j, v in enumerate(ctx.potential(root).nu):
         if v < 0:
             out.append(f"column sum {j} is negative: {v}")
     return out
 
 
-def _suite_potential_identities(ctx: InstanceContext) -> list[str]:
+def _suite_potential_identities(ctx: RestrictionCache) -> list[str]:
     m = ctx.tm.matrix
-    pot = ctx.potential
+    pot = ctx.potential(ctx.tm.tree.root)
     last = m[-1, -1]
     out = []
     expected_nu = tuple(
@@ -261,39 +233,39 @@ def _suite_potential_identities(ctx: InstanceContext) -> list[str]:
     return out
 
 
-def _suite_restrictions_nonsingular(ctx: InstanceContext) -> list[str]:
+def _suite_restrictions_nonsingular(ctx: RestrictionCache) -> list[str]:
     out = []
-    for node in ctx.tree.preorder:
+    for node in ctx.tm.tree.preorder:
         try:
-            ctx.cache.inverse(node)
+            ctx.inverse(node)
         except SingularMatrixError as exc:
             out.append(str(exc))
     return out
 
 
-def _suite_schur_assembly(ctx: InstanceContext) -> list[str]:
+def _suite_schur_assembly(ctx: RestrictionCache) -> list[str]:
     try:
-        schur_blocks(ctx.tm, ctx.cache)
+        schur_blocks(ctx.tm)
     except (SingularMatrixError, AssertionError, ArithmeticError) as exc:
         return [f"{type(exc).__name__}: {exc}"]
     return []
 
 
-def _suite_mass_recursion(ctx: InstanceContext) -> list[str]:
-    report = verify_mass_recursion(ctx.tm, ctx.cache)
+def _suite_mass_recursion(ctx: RestrictionCache) -> list[str]:
+    report = verify_mass_recursion(ctx.tm)
     return list(report.messages)
 
 
-def _suite_mass_recursion_per_node(ctx: InstanceContext) -> list[str]:
+def _suite_mass_recursion_per_node(ctx: RestrictionCache) -> list[str]:
     return [
-        f"recursion mass at {node} is {mass}, oracle {ctx.cache.mass(node)}"
+        f"recursion mass at {node} is {mass}, oracle {ctx.mass(node)}"
         for node, mass in tree_masses(ctx.tm).items()
-        if mass != ctx.cache.mass(node)
+        if mass != ctx.mass(node)
     ]
 
 
-def _suite_exit_identity(ctx: InstanceContext) -> list[str]:
-    report = fixed_leaf_exit(ctx.tm, None, ctx.cache)
+def _suite_exit_identity(ctx: RestrictionCache) -> list[str]:
+    report = fixed_leaf_exit(ctx.tm)
     if not report.identity_ok:
         return [
             f"fixed-leaf row sum {report.last_row_sum} != "
@@ -302,22 +274,22 @@ def _suite_exit_identity(ctx: InstanceContext) -> list[str]:
     return []
 
 
-def _suite_structural_roots(ctx: InstanceContext) -> list[str]:
-    verdict = roots_structural(ctx.tm, ctx.sets, None, ctx.cache)
-    oracle = frozenset(
-        leaf for leaf, v in zip(ctx.tm.leaves, ctx.potential.mu) if v > 0
-    )
+def _suite_structural_roots(ctx: RestrictionCache) -> list[str]:
+    verdict = roots_structural(ctx.tm, ctx.sets)
+    mu = ctx.potential(ctx.tm.tree.root).mu
+    oracle = frozenset(leaf for leaf, v in zip(ctx.tm.leaves, mu) if v > 0)
     if verdict.roots != oracle:
         return [f"roots {sorted(verdict.roots)} != oracle {sorted(oracle)}"]
     return []
 
 
-def _suite_structural_roots_per_node(ctx: InstanceContext) -> list[str]:
+def _suite_structural_roots_per_node(ctx: RestrictionCache) -> list[str]:
     out = []
-    for node in ctx.tree.preorder:
-        verdict = roots_structural(ctx.tm, ctx.sets, node, ctx.cache)
-        pot = ctx.cache.potential(node)
-        leaves = ctx.tree.leaves_below(node)
+    tree = ctx.tm.tree
+    for node in tree.preorder:
+        verdict = roots_structural(ctx.tm, ctx.sets, node)
+        pot = ctx.potential(node)
+        leaves = tree.leaves_below(node)
         oracle = frozenset(leaf for leaf, v in zip(leaves, pot.mu) if v > 0)
         if verdict.roots != oracle:
             out.append(
@@ -326,12 +298,13 @@ def _suite_structural_roots_per_node(ctx: InstanceContext) -> list[str]:
     return out
 
 
-def _suite_transpose_roots_per_node(ctx: InstanceContext) -> list[str]:
+def _suite_transpose_roots_per_node(ctx: RestrictionCache) -> list[str]:
     out = []
-    for node in ctx.tree.preorder:
-        verdict = roots_transpose(ctx.tree, ctx.sets, node)
-        pot = ctx.cache.potential(node)
-        leaves = ctx.tree.leaves_below(node)
+    tree = ctx.tm.tree
+    for node in tree.preorder:
+        verdict = roots_transpose(tree, ctx.sets, node)
+        pot = ctx.potential(node)
+        leaves = tree.leaves_below(node)
         oracle = frozenset(leaf for leaf, v in zip(leaves, pot.nu) if v > 0)
         if verdict != oracle:
             out.append(
@@ -340,16 +313,16 @@ def _suite_transpose_roots_per_node(ctx: InstanceContext) -> list[str]:
     return out
 
 
-def _suite_transpose_root_fixed(ctx: InstanceContext) -> list[str]:
-    verdict = roots_transpose(ctx.tree, ctx.sets)
-    if verdict != {ctx.tree.fixed_leaf}:
+def _suite_transpose_root_fixed(ctx: RestrictionCache) -> list[str]:
+    verdict = roots_transpose(ctx.tm.tree, ctx.sets)
+    if verdict != {ctx.tm.fixed_leaf}:
         return [f"transpose roots of the whole tree are {sorted(verdict)}"]
     return []
 
 
-def _suite_dominance_screens(ctx: InstanceContext) -> list[str]:
+def _suite_dominance_screens(ctx: RestrictionCache) -> list[str]:
     screens = dominance_screens(ctx.tm)
-    pot = ctx.potential
+    pot = ctx.potential(ctx.tm.tree.root)
     out = []
     if screens.small_diag and not pot.mu[-1] < 0:
         out.append(f"small-diagonal screen but mu_n = {pot.mu[-1]}")
@@ -361,122 +334,128 @@ def _suite_dominance_screens(ctx: InstanceContext) -> list[str]:
     return out
 
 
-def _suite_mass_bounds(ctx: InstanceContext) -> list[str]:
+def _suite_mass_bounds(ctx: RestrictionCache) -> list[str]:
     out = []
-    for node in ctx.tree.preorder:
-        if ctx.tree.on_spine(node):
+    tree = ctx.tm.tree
+    for node in tree.preorder:
+        if tree.on_spine(node):
             continue
-        report = diagonal_mass_bounds(
-            ctx.cache.restricted(node).matrix, ctx.cache.inverse(node)
-        )
+        report = diagonal_mass_bounds(ctx.restricted(node).matrix)
         if not report.ok:
             out.extend(f"at {node}: {msg}" for msg in report.messages)
     return out
 
 
-def _suite_links_agree(ctx: InstanceContext) -> list[str]:
-    report = link_matrix(ctx.tm, ctx.sets, ctx.minv)
+def _suite_links_agree(ctx: RestrictionCache) -> list[str]:
+    tree = ctx.tm.tree
+    minv = ctx.inverse(tree.root)
+    report = link_matrix(ctx.tm, ctx.sets)
     return [
-        f"({t.row},{t.col}) structural {t.linked} vs entry {ctx.minv[ctx.tree.leaf_index(t.row), ctx.tree.leaf_index(t.col)]}: "
+        f"({t.row},{t.col}) structural {t.linked} vs entry {minv[tree.leaf_index(t.row), tree.leaf_index(t.col)]}: "
         + "; ".join(t.steps)
         for t in report.mismatches
     ]
 
 
-def _suite_link_lemma_minus(ctx: InstanceContext) -> list[str]:
-    tree = ctx.tree
+def _suite_link_lemma_minus(ctx: RestrictionCache) -> list[str]:
+    tree = ctx.tm.tree
+    minv = ctx.inverse(tree.root)
     minus = tree.minus(tree.root)
     lo, hi = tree.leaf_span(minus)
-    sub_inv = ctx.cache.inverse(minus)
-    alpha = ctx.annotation.alpha(tree.root)
+    sub_inv = ctx.inverse(minus)
+    alpha = ctx.tm.alpha(tree.root)
     out = []
     for i in range(lo, hi):
         for j in range(lo, hi):
             if i == j:
                 continue
-            full = ctx.minv[i, j] < 0
+            full = minv[i, j] < 0
             local = sub_inv[i - lo, j - lo] < 0 and ctx.tm.matrix[i, j] > alpha
             if full != local:
                 out.append(f"minus-side link lemma fails at ({i},{j})")
     return out
 
 
-def _suite_link_lemma_plus(ctx: InstanceContext) -> list[str]:
-    tree = ctx.tree
+def _suite_link_lemma_plus(ctx: RestrictionCache) -> list[str]:
+    tree = ctx.tm.tree
+    minv = ctx.inverse(tree.root)
     plus = tree.plus(tree.root)
     lo, hi = tree.leaf_span(plus)
-    sub_inv = ctx.cache.inverse(plus)
+    sub_inv = ctx.inverse(plus)
     out = []
     for i in range(lo, hi):
         for j in range(lo, hi):
             if i == j:
                 continue
-            if (ctx.minv[i, j] < 0) != (sub_inv[i - lo, j - lo] < 0):
+            if (minv[i, j] < 0) != (sub_inv[i - lo, j - lo] < 0):
                 out.append(f"plus-side link lemma fails at ({i},{j})")
     return out
 
 
-def _suite_link_lemma_cross(ctx: InstanceContext) -> list[str]:
-    tree = ctx.tree
+def _suite_link_lemma_cross(ctx: RestrictionCache) -> list[str]:
+    tree = ctx.tm.tree
+    minv = ctx.inverse(tree.root)
     minus = tree.minus(tree.root)
     lo, hi = tree.leaf_span(minus)
-    n = ctx.minv.nrows
+    n = minv.nrows
     last = n - 1
-    roots_minus = roots_structural(ctx.tm, ctx.sets, minus, ctx.cache).roots
+    roots_minus = roots_structural(ctx.tm, ctx.sets, minus).roots
     roots_t_minus = roots_transpose(tree, ctx.sets, minus)
     leaf = tree.leaf_order
     out = []
     for i in range(lo, hi):
         for j in range(hi, n):
-            if ctx.minv[i, j] < 0 and (j != last or leaf[i] not in roots_minus):
+            if minv[i, j] < 0 and (j != last or leaf[i] not in roots_minus):
                 out.append(f"upper-right negative off-pattern at ({i},{j})")
     for i in range(hi, n):
         for j in range(lo, hi):
-            if ctx.minv[i, j] < 0 and (i != last or leaf[j] not in roots_t_minus):
+            if minv[i, j] < 0 and (i != last or leaf[j] not in roots_t_minus):
                 out.append(f"lower-left negative off-pattern at ({i},{j})")
     return out
 
 
-def _suite_zero_pattern(ctx: InstanceContext) -> list[str]:
-    pattern = zero_pattern(ctx.tree, ctx.annotation)
+def _suite_zero_pattern(ctx: RestrictionCache) -> list[str]:
+    minv = ctx.inverse(ctx.tm.tree.root)
+    pattern = zero_pattern(ctx.tm.tree, ctx.tm.annotation)
     out = []
     for i, j in sorted(pattern.predicted_zero_positions):
-        if ctx.minv[i, j] != 0:
-            out.append(f"predicted zero at ({i},{j}) is {ctx.minv[i, j]}")
+        if minv[i, j] != 0:
+            out.append(f"predicted zero at ({i},{j}) is {minv[i, j]}")
     for i, j in sorted(pattern.triangular_zero_positions):
-        if ctx.minv[i, j] != 0:
-            out.append(f"predicted triangular zero at ({i},{j}) is {ctx.minv[i, j]}")
+        if minv[i, j] != 0:
+            out.append(f"predicted triangular zero at ({i},{j}) is {minv[i, j]}")
     if pattern.hypotheses_hold:
         for i, j in sorted(pattern.predicted_nonzero_positions):
-            if ctx.minv[i, j] == 0:
+            if minv[i, j] == 0:
                 out.append(f"predicted nonzero at ({i},{j}) vanishes")
     return out
 
 
-def _suite_kernel_signs(ctx: InstanceContext) -> list[str]:
+def _suite_kernel_signs(ctx: RestrictionCache) -> list[str]:
+    minv = ctx.inverse(ctx.tm.tree.root)
     try:
-        base = transition_kernel(ctx.minv)
-        shifted = transition_kernel(ctx.minv, base.eta_min + 1)
+        base = transition_kernel(minv)
+        shifted = transition_kernel(minv, base.eta_min + 1)
     except (ValueError, ArithmeticError) as exc:
         return [f"{type(exc).__name__}: {exc}"]
     out = []
-    for i in range(ctx.minv.nrows):
-        for j in range(ctx.minv.ncols):
+    for i in range(minv.nrows):
+        for j in range(minv.ncols):
             if i == j:
                 continue
-            negative = ctx.minv[i, j] < 0
+            negative = minv[i, j] < 0
             if (base.p[i, j] > 0) != negative or (shifted.p[i, j] > 0) != negative:
                 out.append(f"kernel sign at ({i},{j}) depends on eta")
     return out
 
 
-def _suite_neumann(ctx: InstanceContext) -> list[str]:
-    kernel = transition_kernel(ctx.minv)
+def _suite_neumann(ctx: RestrictionCache) -> list[str]:
+    kernel = transition_kernel(ctx.inverse(ctx.tm.tree.root))
     report = neumann_check(ctx.tm, kernel, 3)
     return list(report.messages)
 
 
-def _suite_report_roundtrip(ctx: InstanceContext) -> list[str]:
+def _suite_report_roundtrip(ctx: RestrictionCache) -> list[str]:
     doc = build_report(ctx.tm)
     rendered = render_report(doc, "json")
     out = []
@@ -492,7 +471,7 @@ def _suite_report_roundtrip(ctx: InstanceContext) -> list[str]:
 @dataclass(frozen=True)
 class _Suite:
     name: str
-    fn: Callable[[InstanceContext], list[str]]
+    fn: Callable[[RestrictionCache], list[str]]
     needs_oracle: bool = True
     min_size: int = 1
 
@@ -647,27 +626,28 @@ def regression_instances() -> list[tuple[str, DyadicTree, Annotation]]:
     return out
 
 
-def _run_suite(suite: _Suite, ctx: InstanceContext) -> list[str]:
+def _run_suite(suite: _Suite, ctx: RestrictionCache) -> list[str]:
     try:
         return suite.fn(ctx)
     except Exception as exc:  # a crash is a failure with a reproducer
         return [f"{type(exc).__name__}: {exc}"]
 
 
-def _minimize(ctx: InstanceContext, suite: _Suite) -> InstanceContext:
+def _minimize(ctx: RestrictionCache, suite: _Suite) -> RestrictionCache:
     """Greedily descend to the deepest spine restriction that still fails."""
     best = ctx
     improved = True
     while improved:
         improved = False
-        for node in reversed(best.tree.spine()):
-            if best.tree.is_leaf(node) or node == best.tree.root:
+        tree = best.tm.tree
+        for node in reversed(tree.spine()):
+            if tree.is_leaf(node) or node == tree.root:
                 continue
-            sub = best.tm.restrict(node)
+            sub = best.restricted(node)
             if sub.matrix.nrows < suite.min_size:
                 continue
-            candidate = InstanceContext(sub.tree, sub.annotation)
-            if suite.needs_oracle and candidate.singular:
+            candidate = RestrictionCache(build_matrix(sub.tree, sub.annotation))
+            if suite.needs_oracle and _singular(candidate):
                 continue
             if _run_suite(suite, candidate):
                 best = candidate
@@ -703,12 +683,15 @@ def run_selftest(
         suites={suite.name: SuiteCount(suite.name) for suite in _SUITES},
     )
 
-    def run_instance(label: str, case_seed: Optional[int], ctx: InstanceContext) -> None:
-        if ctx.singular:
+    def run_instance(
+        label: str, case_seed: Optional[int], tree: DyadicTree, annotation: Annotation
+    ) -> None:
+        ctx = RestrictionCache(build_matrix(tree, annotation))
+        if _singular(ctx):
             outcome.singular += 1
             return
         for suite in _SUITES:
-            if ctx.size < suite.min_size:
+            if ctx.tm.matrix.nrows < suite.min_size:
                 continue
             messages = _run_suite(suite, ctx)
             count = outcome.suites[suite.name]
@@ -724,7 +707,7 @@ def run_selftest(
                         label,
                         case_seed,
                         "; ".join(messages[:5]),
-                        minimized.document(),
+                        format_spec(minimized.tm.tree, minimized.tm.annotation),
                     )
                 )
 
@@ -734,11 +717,11 @@ def run_selftest(
         if strictness == "mixed":
             mode = "strict" if idx % 2 else "lax"
         tree, annotation = random_instance(case_seed, max_leaves, mode, min_leaves)
-        run_instance(f"case {idx}", case_seed, InstanceContext(tree, annotation))
+        run_instance(f"case {idx}", case_seed, tree, annotation)
 
     if include_regression:
         for name, tree, annotation in regression_instances():
-            run_instance(name, None, InstanceContext(tree, annotation))
+            run_instance(name, None, tree, annotation)
 
     outcome.elapsed = time.perf_counter() - started
     return outcome

@@ -50,6 +50,8 @@ def parse_rational(value: object, where: str) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise SpecParseError(f"{where}: zero denominator in {value!r}") from None
+        except ValueError as exc:  # more digits than int() converts
+            raise SpecParseError(f"{where}: {exc}") from None
     raise SpecParseError(f"{where}: expected a rational, got {value!r}")
 
 
@@ -79,7 +81,7 @@ def parse_spec(text: str) -> tuple[DyadicTree, Annotation]:
         doc = json.loads(text, parse_float=_reject_float)
     except SpecParseError:
         raise
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an integer with too many digits
         raise SpecParseError(f"invalid JSON: {exc}") from None
 
     if not isinstance(doc, dict):

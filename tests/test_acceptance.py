@@ -144,7 +144,7 @@ def test_criterion_4_link_equivalence(corpus, announce):
     start = time.perf_counter()
     disagreements = []
     for tm, minv in corpus:
-        report = link_matrix(tm, minv=minv)
+        report = link_matrix(tm)
         if not report.agrees:
             disagreements.append((tm, report.mismatches))
     elapsed = time.perf_counter() - start
@@ -169,7 +169,7 @@ def test_criterion_5_root_equivalence(corpus, announce):
         pot = potentials(minv)
         sets = build_structure_sets(tree, tm.annotation)
         cache = RestrictionCache(tm)
-        structural = roots_structural(tm, sets, cache=cache)
+        structural = roots_structural(tm, sets)
         if structural.roots != frozenset(
             leaf for leaf, m in zip(tm.leaves, pot.mu) if m > 0
         ):

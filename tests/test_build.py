@@ -131,6 +131,11 @@ def test_restrict_root_is_identity(six_tm):
     assert six_tm.restrict("I") is six_tm
 
 
+def test_restrict_keeps_each_restriction(six_tm):
+    for node in six_tm.tree.preorder:
+        assert six_tm.restrict(node) is six_tm.restrict(node)
+
+
 def test_restrict_unknown_node(six_tm):
     with pytest.raises(UnknownNodeError):
         six_tm.restrict("Z")

@@ -62,6 +62,17 @@ def test_float_rejected_exit_2(tmp_path, capsys):
     assert "floating point literal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "report", "dot"])
+def test_overlong_integer_exit_2(tmp_path, capsys, command):
+    digits = "1" * 5000
+    path = write_doc(
+        tmp_path,
+        f'{{"root": "1", "nodes": [{{"id": "1", "alpha": {digits}, "beta": 1}}]}}',
+    )
+    assert main([command, path]) == 2
+    assert "parse error: invalid JSON" in capsys.readouterr().err
+
+
 def test_report_json(capsys):
     assert main(["report", str(SIX_LEAF_DOC)]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -92,10 +92,12 @@ def test_restriction_cache(six_tm):
     assert cache.inverse("5") == RationalMatrix([[Fraction(1, 4)]])
 
 
-def test_restriction_cache_seeded_with_the_full_inverse(six_tm, six_inverse):
-    cache = RestrictionCache(six_tm, six_inverse)
-    assert cache.inverse("I") is six_inverse
-    assert cache.potential("I") == potentials(six_inverse)
+def test_restriction_cache_views_share_inverses(six_tm, six_inverse):
+    first, second = RestrictionCache(six_tm), RestrictionCache(six_tm)
+    for node in six_tm.tree.preorder:
+        assert first.inverse(node) is second.inverse(node)
+    assert first.inverse("I") is six_inverse
+    assert second.potential("I") == potentials(six_inverse)
 
 
 def test_tree_masses_six_leaf(six_tm):

@@ -87,13 +87,13 @@ def _path_side_roots(tm, sets):
 def _check_grouped_verdicts(tm) -> bool:
     """Per-meet verdicts == per-pair verdicts; False when the draw is singular."""
     try:
-        minv = tm.matrix.inverse()
+        tm.matrix.inverse()
     except SingularMatrixError:
         return False
     sets = build_structure_sets(tm.tree, tm.annotation)
     side_roots = _path_side_roots(tm, sets)
     assert links_mod._side_roots(tm.tree, sets) == side_roots
-    report = link_matrix(tm, sets, minv)
+    report = link_matrix(tm, sets)
     for row in tm.leaves:
         for col in tm.leaves:
             if row != col:

@@ -113,6 +113,17 @@ def test_inverse_known():
     assert m.inverse() == RationalMatrix([[1, Fraction(-1, 3)], [-1, Fraction(2, 3)]])
 
 
+def test_inverse_is_computed_once(monkeypatch):
+    calls = []
+    real = kernels.inverse_scaled
+    monkeypatch.setattr(
+        kernels, "inverse_scaled", lambda a: calls.append(len(a)) or real(a)
+    )
+    m = RationalMatrix([[2, 1], [3, 3]])
+    assert m.inverse() is m.inverse()
+    assert calls == [2]
+
+
 def test_inverse_singular():
     with pytest.raises(SingularMatrixError):
         RationalMatrix([[2, 2], [2, 2]]).inverse()
@@ -285,6 +296,7 @@ def test_inverse_integer_form_sums(rows):
         list(row) for row in inv.rows
     ]
     assert (inv.row_sums(), inv.col_sums()) == _plain_sums(inv)
+    assert inv.total() == sum(inv.row_sums(), Fraction(0))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -294,6 +306,7 @@ def test_integer_form_sums_on_any_matrix(seed):
     denom, nums = m.integer_form()
     assert denom > 0 and len(nums) == m.nrows
     assert (m.row_sums(), m.col_sums()) == _plain_sums(m)
+    assert m.total() == sum(m.row_sums(), Fraction(0))
     assert m.integer_form() is m.integer_form()  # computed once
 
 

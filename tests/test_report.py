@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from rootlink import TheoremMismatchError, build_report, render_dot, render_report
+from rootlink import (
+    TheoremMismatchError,
+    build_matrix,
+    build_report,
+    render_dot,
+    render_report,
+)
 
 from conftest import annotation_from, instance
 
@@ -91,6 +97,20 @@ def test_report_text_empty_lists_render_dash():
 def test_render_report_unknown_format(six_report):
     with pytest.raises(ValueError):
         render_report(six_report, "yaml")
+
+
+def test_report_reuses_the_kept_inverse(six_tree, six_annotation, monkeypatch):
+    import rootlink.kernels as kernels
+
+    tm = build_matrix(six_tree, six_annotation)
+    tm.matrix.inverse()
+    calls = []
+    real = kernels.inverse_scaled
+    monkeypatch.setattr(
+        kernels, "inverse_scaled", lambda a: calls.append(len(a)) or real(a)
+    )
+    build_report(tm, neumann=2)
+    assert calls == []
 
 
 def test_report_mismatch_carries_counterexample(six_tm, monkeypatch):

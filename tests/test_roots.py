@@ -176,7 +176,7 @@ def test_dominance_screens_minimal_row():
 def test_mass_bounds_off_spine(six_tm):
     cache = RestrictionCache(six_tm)
     for node in ("A", "C"):
-        report = diagonal_mass_bounds(cache.restricted(node).matrix, cache.inverse(node))
+        report = diagonal_mass_bounds(cache.restricted(node).matrix)
         assert report.ok
         assert all(p >= 1 for p in report.products)
         assert report.tight and report.constant_column_at_max
@@ -185,6 +185,6 @@ def test_mass_bounds_off_spine(six_tm):
 def test_mass_bounds_do_not_apply_to_full_matrix(six_tm):
     # The fixed-leaf row makes the bound fail for the full matrix; the
     # report flags it rather than assert.
-    report = diagonal_mass_bounds(six_tm.matrix, six_tm.matrix.inverse())
+    report = diagonal_mass_bounds(six_tm.matrix)
     assert not report.ok
     assert Fraction(3, 4) in report.products

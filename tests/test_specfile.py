@@ -67,6 +67,15 @@ def test_parse_rational_rejects(value):
 
 
 @pytest.mark.parametrize(
+    "value", ["1" * 5000, "1/" + "3" * 5000], ids=["numerator", "denominator"]
+)
+def test_parse_rational_rejects_too_many_digits(value):
+    # Beyond int()'s 4300-digit conversion limit Fraction raises ValueError.
+    with pytest.raises(SpecParseError, match="^here: .*4300"):
+        parse_rational(value, "here")
+
+
+@pytest.mark.parametrize(
     "value,expected", [(Fraction(3), 3), (Fraction(-1, 2), "-1/2"), (Fraction(4, 2), 2)]
 )
 def test_format_rational(value, expected):
@@ -121,6 +130,12 @@ def test_non_rightmost_fixed_leaf_rejected():
 )
 def test_bad_documents_rejected(text):
     with pytest.raises(SpecParseError):
+        parse_spec(text)
+
+
+def test_overlong_integer_literal_is_a_parse_error():
+    text = _doc(GOOD_NODES).replace('"alpha": 2', '"alpha": ' + "1" * 5000, 1)
+    with pytest.raises(SpecParseError, match="invalid JSON: .*4300"):
         parse_spec(text)
 
 
