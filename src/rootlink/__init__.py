@@ -1,10 +1,11 @@
 """Exact analysis of annotated dyadic trees and the matrices they induce.
 
 Build a leaf-indexed rational matrix from a doubly-annotated dyadic tree,
-invert it exactly with fraction-free elimination, and read the inverse's
-sign structure — exiting roots, links, zero blocks, sub-Markov kernels —
-directly off the tree.  Every structural shortcut is cross-checked against
-the exact inverse by a randomized self-test harness.
+invert it exactly (from the tree in O(n^2) with a product certificate, or
+by fraction-free elimination), and read the inverse's sign structure —
+exiting roots, links, zero blocks, sub-Markov kernels — directly off the
+tree.  Every structural shortcut is cross-checked against the exact
+inverse by a randomized self-test harness.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .roots import (
 from .selftest import SelftestOutcome, regression_instances, run_selftest
 from .specfile import format_spec, parse_spec
 from .tree import DyadicTree, TreeEdge, build_tree
+from .treesolve import certify_inverse, tree_inverse
 
 __version__ = "0.1.0"
 
@@ -98,6 +100,8 @@ __all__ = [
     "transition_kernel",
     "NeumannReport",
     "neumann_check",
+    "tree_inverse",
+    "certify_inverse",
     # roots
     "StructureSets",
     "build_structure_sets",

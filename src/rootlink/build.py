@@ -36,6 +36,7 @@ __all__ = [
     "Annotation",
     "AnnotationViolation",
     "validate_annotation",
+    "require_valid",
     "build_matrix",
     "TreeMatrix",
     "random_instance",
@@ -43,15 +44,20 @@ __all__ = [
 
 
 class Annotation:
-    """Per-node ``(alpha, beta)`` values, stored as exact rationals."""
+    """Per-node ``(alpha, beta)`` values, stored as exact rationals.
 
-    __slots__ = ("_alpha", "_beta")
+    An annotation never changes after construction, so it remembers the
+    last tree it passed validation on (see :func:`require_valid`).
+    """
+
+    __slots__ = ("_alpha", "_beta", "_valid_on")
 
     def __init__(
         self, alpha: Mapping[str, Rational], beta: Mapping[str, Rational]
     ):
         self._alpha = {node: to_fraction(v) for node, v in alpha.items()}
         self._beta = {node: to_fraction(v) for node, v in beta.items()}
+        self._valid_on: Optional[DyadicTree] = None
 
     @classmethod
     def from_pairs(
@@ -184,11 +190,26 @@ def validate_annotation(
     return tuple(found)
 
 
-def build_matrix(tree: DyadicTree, annotation: Annotation) -> "TreeMatrix":
-    """Materialize the leaf-indexed matrix of a validated annotated tree."""
+def require_valid(tree: DyadicTree, annotation: Annotation) -> None:
+    """Raise :class:`InvalidAnnotationError` unless the annotation is valid.
+
+    The annotation remembers the tree it last passed on, so the functions
+    that need a valid pair (:func:`build_matrix`,
+    :func:`~rootlink.roots.build_structure_sets`,
+    :func:`~rootlink.links.zero_pattern`) validate each pair once between
+    them.  An invalid pair is never remembered and raises on every call.
+    """
+    if annotation._valid_on is tree:
+        return
     violations = validate_annotation(tree, annotation)
     if violations:
         raise InvalidAnnotationError(violations)
+    annotation._valid_on = tree
+
+
+def build_matrix(tree: DyadicTree, annotation: Annotation) -> "TreeMatrix":
+    """Materialize the leaf-indexed matrix of a validated annotated tree."""
+    require_valid(tree, annotation)
 
     # Each internal node t fills its two cross blocks: alpha(t) above the
     # diagonal; below it, beta of the deeper of t and the row leaf's spine

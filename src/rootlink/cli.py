@@ -9,9 +9,11 @@ Subcommands:
 * ``random``   — emit a generated instance document.
 * ``selftest`` — randomized structural-vs-oracle cross-check.
 
-Exit codes: 0 success, 1 validation failure, 2 parse error, 3 singular
-matrix or failed hypothesis, 4 structural-vs-oracle mismatch (with a
-counterexample dump).
+Exit codes: 0 success, 1 validation failure, 2 parse error or a document
+over the report's size budget (``specfile.MAX_LEAVES`` leaves,
+``specfile.MAX_VALUE_DIGITS`` digits per value), 3 singular matrix or
+failed hypothesis, 4 structural-vs-oracle mismatch or a failed inverse
+certificate (with a counterexample dump).
 """
 
 from __future__ import annotations
@@ -34,7 +36,13 @@ from .errors import (
 )
 from .report import build_report, render_dot, render_report
 from .selftest import run_selftest
-from .specfile import format_spec, parse_rational, parse_spec
+from .specfile import (
+    MAX_LEAVES,
+    check_budget,
+    format_spec,
+    parse_rational,
+    parse_spec,
+)
 
 __all__ = ["main"]
 
@@ -62,6 +70,13 @@ def _positive_int(value: str) -> int:
     number = int(value)
     if number < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return number
+
+
+def _leaf_budget(value: str) -> int:
+    number = _positive_int(value)
+    if number > MAX_LEAVES:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_LEAVES} (the leaf budget)")
     return number
 
 
@@ -93,8 +108,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     tree, annotation = parse_spec(_read_document(args.path))
-    # No reference to the matrix outlives build_report, so the inverse it
-    # keeps is freed before the document renders.
+    check_budget(tree, annotation)
+    # No reference to the matrix or the report's inverse outlives
+    # build_report, so both are freed before the document renders.
     doc = build_report(build_matrix(tree, annotation), args.eta, args.neumann)
     sys.stdout.write(render_report(doc, args.format))
     return 0
@@ -179,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="randomized structural-vs-oracle checks")
     p.add_argument("--cases", type=_positive_int, default=200)
-    p.add_argument("--max-leaves", type=_positive_int, default=8)
+    p.add_argument("--max-leaves", type=_leaf_budget, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true", help="strictly increasing values")
     p.set_defaults(func=_cmd_selftest)

@@ -1,7 +1,9 @@
 """Exact inversion reports: potentials, root-split blocks, kernels.
 
 The elimination-based :meth:`RationalMatrix.inverse` is the ground truth
-and the only inverse.  A matrix keeps its inverse and a
+here.  (Reports take their inverse from the tree instead, through
+:mod:`rootlink.treesolve`, certified by an exact product check; the
+self-test compares it with this one.)  A matrix keeps its inverse and a
 :class:`~rootlink.build.TreeMatrix` keeps its restrictions, so every check
 on one instance reads the same eliminations; :class:`RestrictionCache` is
 the per-node view of them (restriction, inverse, potentials, mass) that

@@ -1,7 +1,8 @@
 """Integer kernels: fraction-free inversion and matrix multiplication.
 
 Both operate on lists of lists of Python ints.  :func:`inverse_scaled` is
-the independent judge behind every certified report, so it uses no tree
+the independent judge of every structural claim, the report's tree inverse
+included (in the self-test and the test suite), so it uses no tree
 structure: it is a Bareiss elimination (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 1968) in
 two passes.

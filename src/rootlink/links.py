@@ -29,8 +29,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Optional
 
-from .build import Annotation, TreeMatrix, validate_annotation
-from .errors import InvalidAnnotationError
+from .build import Annotation, TreeMatrix, require_valid
 from .matrix import RationalMatrix
 from .roots import StructureSets, build_structure_sets, roots_structural, roots_transpose
 from .tree import DyadicTree, TreeEdge
@@ -363,9 +362,7 @@ class BlockPattern:
 
 def zero_pattern(tree: DyadicTree, annotation: Annotation) -> BlockPattern:
     """Derive the block zero/nonzero pattern of the inverse from the tree."""
-    violations = validate_annotation(tree, annotation)
-    if violations:
-        raise InvalidAnnotationError(violations)
+    require_valid(tree, annotation)
 
     blocks: list[tuple[str, ...]] = []
     for node in tree.spine()[:-1]:

@@ -4,7 +4,9 @@
 immutable row tuples.  Inversion and multiplication clear denominators with
 one LCM per matrix and run on the integer kernels, so results are exact and
 the hot loops stay in :mod:`rootlink.kernels`.  :meth:`RationalMatrix.inverse`
-calls ``kernels.inverse_scaled`` once per matrix and keeps the result.  The
+calls ``kernels.inverse_scaled`` once per matrix and keeps the result
+(:meth:`RationalMatrix.with_inverse` makes a copy that keeps an inverse
+certified by other means instead).  The
 kernel is a fraction-free (Bareiss) LU elimination of the rows below each
 pivot, then one back substitution per column of the carried identity,
 which returns ``det`` and the adjugate exactly.  Every matrix also has an
@@ -87,6 +89,18 @@ class RationalMatrix:
         return cls._of_fractions(
             ((Fraction(x, denom) for x in row) for row in ints), (denom, ints)
         )
+
+    def with_inverse(self, inverse: "RationalMatrix") -> "RationalMatrix":
+        """This matrix again, keeping ``inverse`` as its inverse.
+
+        For an inverse established without elimination and checked by the
+        caller, as :func:`~rootlink.report.build_report` checks its tree
+        inverse.  The copy shares this matrix's rows and integer form, and
+        its :meth:`inverse` returns ``inverse`` without running the kernel.
+        """
+        out = RationalMatrix._of_fractions(self._rows, self._int)
+        out._inv = inverse
+        return out
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":

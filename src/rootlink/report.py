@@ -3,11 +3,14 @@
 A report gathers every analysis for one instance into a plain dict whose
 numbers are exact rational strings (floats appear only in the optional
 Neumann gap diagnostics).  Rendering is deterministic: the same instance
-and flags always produce byte-identical output.  The matrix is inverted
-exactly once and keeps that inverse, which every check reads; structural
-verdicts, the tree-recursion masses behind the exit inequality and the
-transition kernel are cross-checked against it while the report is
-built, and any disagreement raises
+and flags always produce byte-identical output.  The report takes its
+inverse from the tree in O(n^2) (:func:`~rootlink.treesolve.tree_inverse`),
+not from elimination, and certifies it with the exact product check
+:func:`~rootlink.treesolve.certify_inverse`, also O(n^2).  Every check then
+reads that one certified inverse: structural verdicts, the tree-recursion
+masses behind the exit inequality and the transition kernel are
+cross-checked against it while the report is built, and any disagreement,
+a failed certificate included, raises
 :class:`~rootlink.errors.TheoremMismatchError` carrying a counterexample
 dump instead of emitting a wrong document.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .build import Annotation, TreeMatrix
 from .errors import EtaTooSmallError, TheoremMismatchError
@@ -27,6 +30,7 @@ from .matrix import Rational, RationalMatrix
 from .roots import StructureSets, build_structure_sets, roots_structural, roots_transpose
 from .specfile import format_spec
 from .tree import DyadicTree, TreeEdge
+from .treesolve import certify_inverse, tree_inverse
 
 __all__ = ["build_report", "render_report", "render_dot"]
 
@@ -34,7 +38,7 @@ _PLAIN_ID = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*|\d+)$")
 _DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 
 
-def _counterexample(tm: TreeMatrix, minv: RationalMatrix, detail: str) -> str:
+def _counterexample(tm: TreeMatrix, rows: Iterable[Iterable], detail: str) -> str:
     lines = [
         "structural prediction disagrees with the exact inverse",
         detail,
@@ -42,7 +46,7 @@ def _counterexample(tm: TreeMatrix, minv: RationalMatrix, detail: str) -> str:
         format_spec(tm.tree, tm.annotation).rstrip("\n"),
         "inverse:",
     ]
-    lines.extend("  " + " ".join(str(x) for x in row) for row in minv.rows)
+    lines.extend("  " + " ".join(str(x) for x in row) for row in rows)
     return "\n".join(lines)
 
 
@@ -58,15 +62,31 @@ def build_report(
 ) -> dict:
     """Assemble the full report document for one instance.
 
-    Raises ``SingularMatrixError`` when the matrix is singular (its
-    restrictions are then nonsingular too), ``EtaTooSmallError`` for an
-    inadmissible ``eta``, and ``TheoremMismatchError`` when any structural
-    verdict, the exit identity or the kernel's sign shape disagrees with
-    the inverse.
+    Raises ``SingularMatrixError`` naming a node when the matrix is
+    singular (exactly when some restriction is), ``EtaTooSmallError`` for
+    an inadmissible ``eta``, and ``TheoremMismatchError`` when the tree
+    inverse fails its certificate or any structural verdict, the exit
+    identity or the kernel's sign shape disagrees with the inverse.
+    An inverse that ``tm.matrix`` keeps is neither read nor replaced: the
+    report always computes and certifies its own.
     """
     tree = tm.tree
     leaves = tm.leaves
-    minv = tm.matrix.inverse()
+    denom, nums = tree_inverse(tm)
+    failure = certify_inverse(tm, denom, nums)
+    if failure is not None:
+        raise TheoremMismatchError(
+            _counterexample(
+                tm,
+                nums,
+                f"tree inverse fails its certificate: {failure}; "
+                f"the inverse below is N with U^-1 = N / {denom}",
+            )
+        )
+    minv = RationalMatrix.from_integer_form(denom, nums)
+    # Every check below reads this inverse, through a copy of the matrix
+    # that keeps it; ``tm`` and its kept inverse, if any, stay as they were.
+    tm = TreeMatrix(tree, tm.annotation, tm.matrix.with_inverse(minv))
     pot = potentials(minv)
     sets = build_structure_sets(tree, tm.annotation)
     structural = roots_structural(tm, sets)
@@ -76,7 +96,7 @@ def build_report(
         raise TheoremMismatchError(
             _counterexample(
                 tm,
-                minv,
+                minv.rows,
                 f"fixed-leaf row sum {exit_report.last_row_sum} != "
                 f"lhs - rhs = {exit_report.lhs} - {exit_report.rhs}",
             )
@@ -89,7 +109,7 @@ def build_report(
         raise TheoremMismatchError(
             _counterexample(
                 tm,
-                minv,
+                minv.rows,
                 f"structural roots {sorted(structural.roots)} != "
                 f"positive-mu leaves {sorted(oracle_roots)}",
             )
@@ -102,7 +122,7 @@ def build_report(
         raise TheoremMismatchError(
             _counterexample(
                 tm,
-                minv,
+                minv.rows,
                 f"structural transpose roots {sorted(transpose)} != "
                 f"positive-nu leaves {sorted(oracle_transpose)}",
             )
@@ -115,7 +135,7 @@ def build_report(
         raise TheoremMismatchError(
             _counterexample(
                 tm,
-                minv,
+                minv.rows,
                 f"link verdict for ({bad.row}, {bad.col}) is {bad.linked} but "
                 f"inverse entry is {entry} (matrix entry {bad.entry}); "
                 "trace: " + "; ".join(bad.steps),
@@ -128,7 +148,7 @@ def build_report(
             raise TheoremMismatchError(
                 _counterexample(
                     tm,
-                    minv,
+                    minv.rows,
                     f"predicted zero at ({leaves[i]}, {leaves[j]}) "
                     f"but inverse entry is {minv[i, j]}",
                 )
@@ -140,7 +160,7 @@ def build_report(
         raise
     except ValueError as exc:
         raise TheoremMismatchError(
-            _counterexample(tm, minv, f"transition kernel: {exc}")
+            _counterexample(tm, minv.rows, f"transition kernel: {exc}")
         ) from exc
 
     doc: dict = {
@@ -170,7 +190,7 @@ def build_report(
         result = neumann_check(tm, kernel, neumann)
         if not result.ok:
             raise TheoremMismatchError(
-                _counterexample(tm, minv, "; ".join(result.messages))
+                _counterexample(tm, minv.rows, "; ".join(result.messages))
             )
         doc["neumann_steps"] = neumann
         doc["neumann_gaps"] = list(result.gaps)

@@ -7,12 +7,14 @@ minus edge to ``gamma_t`` unconditionally.  A leaf is then a structural
 root of a node's restriction exactly when its path up to that node avoids
 the relevant edge set — except for the fixed leaf of a spine restriction,
 whose verdict comes from an exact scalar inequality over the spine masses
-(taken from the tree recursion, :func:`tree_masses`, not from inversion).
+(read off the bottom-up pass of :mod:`rootlink.treesolve` by
+:func:`tree_masses`, not from inversion).
 Only the oracle sides, :attr:`ExitReport.last_row_sum` and
-:func:`diagonal_mass_bounds`, read an elimination inverse: the one the
-restriction's matrix keeps, shared with every other caller.  All
-structural verdicts are cross-checked against the elimination inverse by
-the self-test suites.
+:func:`diagonal_mass_bounds`, read an inverse: the one the restriction's
+matrix keeps, shared with every other caller.  That is the elimination
+inverse, except inside a report, whose matrix keeps the certified tree
+inverse.  All structural verdicts are cross-checked against the
+elimination inverse by the self-test suites.
 """
 
 from __future__ import annotations
@@ -21,15 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .build import Annotation, TreeMatrix, validate_annotation
-from .errors import (
-    InvalidAnnotationError,
-    SingularMatrixError,
-    TheoremMismatchError,
-    UnknownNodeError,
-)
+from .build import Annotation, TreeMatrix, require_valid
+from .errors import TheoremMismatchError, UnknownNodeError
 from .matrix import RationalMatrix
 from .tree import DyadicTree, TreeEdge
+from .treesolve import tree_pass
 
 __all__ = [
     "StructureSets",
@@ -60,9 +58,7 @@ class StructureSets:
 
 def build_structure_sets(tree: DyadicTree, annotation: Annotation) -> StructureSets:
     """Construct both edge sets and the per-leaf matching-ancestor maps."""
-    violations = validate_annotation(tree, annotation)
-    if violations:
-        raise InvalidAnnotationError(violations)
+    require_valid(tree, annotation)
 
     # Leaf value sets per subtree, bottom-up.
     leaf_alphas: dict[str, frozenset[Fraction]] = {}
@@ -130,7 +126,10 @@ def roots_transpose(
 def tree_masses(tm: TreeMatrix, node: Optional[str] = None) -> dict[str, Fraction]:
     """Total inverse mass of the restriction at every node below ``node``.
 
-    Computed bottom-up from the tree, with no inversion:
+    Read off the bottom-up pass of :func:`~rootlink.treesolve.tree_pass`,
+    with no inversion: the mass at ``u`` is ``L * M_u / det_u``, the sum
+    of the adjugate of ``U_int`` restricted to ``u`` over its determinant.
+    In terms of the masses themselves:
 
     * a leaf has mass ``1/alpha``;
     * a spine node has mass ``1/U[n,n]`` (its restriction keeps the
@@ -146,36 +145,7 @@ def tree_masses(tm: TreeMatrix, node: Optional[str] = None) -> dict[str, Fractio
     ``tm``'s restrictions whenever its fixed-leaf row is constant, as it is
     for every matrix :func:`~rootlink.build.build_matrix` makes.
     """
-    tree = tm.tree
-    top = tree.root if node is None else node
-    lo, hi = tree.leaf_span(top)
-    start = tree.preorder.index(top)
-    masses: dict[str, Fraction] = {}
-    # A subtree is a contiguous run of 2k - 1 nodes in preorder.
-    for t in reversed(tree.preorder[start : start + 2 * (hi - lo) - 1]):
-        kids = tree.children(t)
-        alpha = tm.alpha(t)
-        if not kids:
-            if alpha == 0:
-                raise SingularMatrixError(f"leaf value vanishes at node {t!r}")
-            masses[t] = 1 / alpha
-            continue
-        m_a, m_b = masses[kids[0]], masses[kids[1]]
-        if tree.on_spine(t):
-            if 1 - alpha * m_a == 0:
-                raise SingularMatrixError(
-                    f"spine denominator vanishes at node {t!r}"
-                )
-            masses[t] = m_b
-            continue
-        beta = tm.beta(t)
-        denom = 1 - alpha * beta * m_a * m_b
-        if denom == 0:
-            raise SingularMatrixError(
-                f"off-spine denominator vanishes at node {t!r}"
-            )
-        masses[t] = (m_a * (1 - alpha * m_b) + m_b * (1 - beta * m_a)) / denom
-    return masses
+    return tree_pass(tm, node).masses()
 
 
 @dataclass(frozen=True)
@@ -204,9 +174,10 @@ def fixed_leaf_exit(tm: TreeMatrix, node: Optional[str] = None) -> ExitReport:
     right side sums, over internal spine nodes of the restriction, the
     minus-side mass scaled by ``(1 - alpha*plus_mass)/(1 - alpha*minus_mass)``.
     Masses come from the tree recursion (:func:`tree_masses`), with no
-    inversion; only ``last_row_sum`` is read from the restriction's
-    elimination inverse, which makes :attr:`ExitReport.identity_ok` a check
-    of the recursion against the oracle.  Valid for restrictions at spine
+    inversion; only ``last_row_sum`` is read from the inverse the
+    restriction's matrix keeps (the elimination inverse, or in a report the
+    certified tree inverse), which makes :attr:`ExitReport.identity_ok` a
+    check of the recursion against the oracle.  Valid for restrictions at spine
     nodes of the original tree (where the fixed leaf's row is constant);
     elsewhere the inequality has no predictive content.
     """

@@ -6,8 +6,10 @@ potentials, tree-recursion masses, Schur assembly, exit inequalities, root
 sets, link verdicts, zero patterns, kernels, and document round-trips.
 Each suite reads its instance through one
 :class:`~rootlink.inverse.RestrictionCache`; the library calls it makes
-(the report included) share that instance's restrictions and inverses, so
-each node's restriction is inverted at most once.  Singular draws are counted and skipped (the
+share that instance's restrictions and inverses, so each node's
+restriction is inverted at most once.  The report computes its own
+certified tree inverse, which the report suite compares with the
+elimination inverse.  Singular draws are counted and skipped (the
 structural theorems all hypothesize a nonsingular matrix).  Failures carry
 a reproducer document, minimized by re-running the failing suite on
 successively smaller spine restrictions.
@@ -459,6 +461,9 @@ def _suite_report_roundtrip(ctx: RestrictionCache) -> list[str]:
     doc = build_report(ctx.tm)
     rendered = render_report(doc, "json")
     out = []
+    oracle = ctx.inverse(ctx.tm.tree.root)
+    if doc["inverse"] != [[str(x) for x in row] for row in oracle.rows]:
+        out.append("report's certified tree inverse differs from the elimination inverse")
     if json.loads(rendered) != doc:
         out.append("report JSON does not round-trip")
     if render_report(doc, "json") != rendered:

@@ -16,6 +16,11 @@ Rationals are encoded as integers or "p/q" strings with a positive
 denominator.  Floating point literals are rejected outright: all downstream
 predicates are exact equality and sign tests, and a float would silently
 corrupt them.  ``minus`` and ``plus`` must be given together or not at all.
+
+A document to report on must also fit the size budget of
+:func:`check_budget`: at most :data:`MAX_LEAVES` leaves, and at most
+:data:`MAX_VALUE_DIGITS` decimal digits in the values' common denominator
+and in every value written over it.
 """
 
 from __future__ import annotations
@@ -23,12 +28,30 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import lcm
 
 from .build import Annotation
 from .errors import SpecParseError
 from .tree import DyadicTree, build_tree
 
-__all__ = ["parse_spec", "format_spec", "parse_rational", "format_rational"]
+__all__ = [
+    "parse_spec",
+    "format_spec",
+    "parse_rational",
+    "format_rational",
+    "check_budget",
+    "MAX_LEAVES",
+    "MAX_VALUE_DIGITS",
+]
+
+# The report's size budget.  Hadamard's bound keeps the determinant and
+# every adjugate entry of the integer matrix below 128 * (20 +
+# log10(sqrt(128))) < 2,700 digits, so every number a report prints has
+# fewer than 2,800 and stays under Python's 4,300-digit limit on
+# integer-to-string conversion.  The largest reports in the budget take
+# seconds and a few hundred MiB.
+MAX_LEAVES = 128
+MAX_VALUE_DIGITS = 20
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 _NODE_KEYS = {"id", "minus", "plus", "alpha", "beta"}
@@ -83,6 +106,8 @@ def parse_spec(text: str) -> tuple[DyadicTree, Annotation]:
         raise
     except ValueError as exc:  # bad syntax, or an integer with too many digits
         raise SpecParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SpecParseError("invalid JSON: arrays or objects nested too deeply") from None
 
     if not isinstance(doc, dict):
         raise SpecParseError("top level must be an object")
@@ -163,3 +188,35 @@ def format_spec(tree: DyadicTree, annotation: Annotation) -> str:
         "nodes": nodes,
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def check_budget(tree: DyadicTree, annotation: Annotation) -> None:
+    """Raise :class:`SpecParseError` unless the document fits the report budget.
+
+    The budget is at most :data:`MAX_LEAVES` leaves, and at most
+    :data:`MAX_VALUE_DIGITS` decimal digits in the common denominator ``L``
+    of all values and in every numerator over ``L``: the entries of the
+    integer matrix ``L * U`` that the report inverts.
+    """
+    leaves = len(tree.leaf_order)
+    if leaves > MAX_LEAVES:
+        raise SpecParseError(
+            f"over the report budget: {leaves} leaves, at most {MAX_LEAVES}"
+        )
+    bound = 10**MAX_VALUE_DIGITS
+    denom = lcm(
+        *(x.denominator for node in tree.preorder for x in annotation.pair(node))
+    )
+    if denom >= bound:
+        raise SpecParseError(
+            "over the report budget: the values' common denominator has "
+            f"more than {MAX_VALUE_DIGITS} digits"
+        )
+    for node in tree.preorder:
+        for x in annotation.pair(node):
+            if abs(x.numerator) * (denom // x.denominator) >= bound:
+                raise SpecParseError(
+                    f"over the report budget: the value at node {node!r} has "
+                    f"more than {MAX_VALUE_DIGITS} digits over the common "
+                    "denominator"
+                )

@@ -109,6 +109,38 @@ def test_build_matrix_rejects_invalid(six_tree):
     assert any(v.condition == "(ii)" for v in err.value.violations)
 
 
+def test_every_public_entry_rejects_an_invalid_pair(six_tree):
+    from rootlink import build_structure_sets, zero_pattern
+
+    bad = annotation_from({**SIX_LEAF_VALUES, "A": (2, 1)})
+    for _ in range(2):  # a failure is not remembered
+        for entry in (build_matrix, build_structure_sets, zero_pattern):
+            with pytest.raises(InvalidAnnotationError):
+                entry(six_tree, bad)
+
+
+def test_a_pair_is_validated_once(six_tree, monkeypatch):
+    import rootlink.build as build_mod
+    from rootlink import build_structure_sets, zero_pattern
+
+    calls = []
+    real = build_mod.validate_annotation
+    monkeypatch.setattr(
+        build_mod,
+        "validate_annotation",
+        lambda tree, annotation: calls.append(tree) or real(tree, annotation),
+    )
+    annotation = annotation_from(SIX_LEAF_VALUES)
+    build_matrix(six_tree, annotation)
+    build_structure_sets(six_tree, annotation)
+    zero_pattern(six_tree, annotation)
+    assert calls == [six_tree]
+    # The same values on another tree object are validated again.
+    other = build_tree(dict(six_tree.subtree_children("I")), "I")
+    build_structure_sets(other, annotation)
+    assert calls == [six_tree, other]
+
+
 def test_restrict_spine_node(six_tm):
     sub = six_tm.restrict("B")
     assert sub.leaves == ("3", "4", "5", "6")

@@ -73,6 +73,76 @@ def test_overlong_integer_exit_2(tmp_path, capsys, command):
     assert "parse error: invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_deeply_nested_document_exit_2(tmp_path, capsys, command):
+    path = write_doc(tmp_path, "[" * 100_000)
+    assert main([command, path]) == 2
+    assert "parse error: invalid JSON: " in capsys.readouterr().err
+
+
+def _caterpillar_doc(leaves: int, leaf_value: str = "2") -> str:
+    """A valid left comb: every internal node (0, 0)-annotated, leaves equal."""
+    nodes = [{"id": "r", "minus": "c1", "plus": "f", "alpha": 0, "beta": 0}]
+    for k in range(1, leaves - 1):
+        minus = f"c{k + 1}" if k < leaves - 2 else "l0"
+        nodes.append({"id": f"c{k}", "minus": minus, "plus": f"l{k}", "alpha": 0, "beta": 0})
+    nodes += [{"id": f"l{k}", "alpha": leaf_value, "beta": leaf_value} for k in range(leaves - 1)]
+    nodes.append({"id": "f", "alpha": leaf_value, "beta": leaf_value})
+    return json.dumps({"root": "r", "nodes": nodes})
+
+
+def test_report_leaf_budget_exit_2(tmp_path, capsys):
+    from rootlink.specfile import MAX_LEAVES
+
+    path = write_doc(tmp_path, _caterpillar_doc(MAX_LEAVES + 1))
+    assert main(["validate", path]) == 0  # validation has no budget
+    capsys.readouterr()
+    assert main(["report", path]) == 2
+    err = capsys.readouterr().err
+    assert f"over the report budget: {MAX_LEAVES + 1} leaves, at most {MAX_LEAVES}" in err
+
+
+def test_report_at_the_leaf_budget(tmp_path, capsys):
+    from rootlink.specfile import MAX_LEAVES
+
+    path = write_doc(tmp_path, _caterpillar_doc(MAX_LEAVES, "1/2"))
+    assert main(["report", path]) == 0
+    assert len(json.loads(capsys.readouterr().out)["leaves"]) == MAX_LEAVES
+
+
+@pytest.mark.parametrize(
+    "value,what",
+    [
+        ("9" * 2500, "the value at node 'l0' has more than 20 digits"),
+        ("1" * 21, "the value at node 'l0' has more than 20 digits"),
+        ("1/" + "3" * 21, "the values' common denominator has more than 20 digits"),
+    ],
+)
+def test_report_digit_budget_exit_2(tmp_path, capsys, value, what):
+    path = write_doc(tmp_path, _caterpillar_doc(3, value))
+    assert main(["report", path]) == 2
+    assert f"over the report budget: {what}" in capsys.readouterr().err
+
+
+def test_report_at_the_digit_budget(tmp_path, capsys):
+    doc = json.loads(_caterpillar_doc(3))
+    # Over the common denominator 7: 20, 20 and 19 digits.
+    for node, value in zip(doc["nodes"][2:], ("9" * 19, "9" * 19 + "/7", "1/7")):
+        node["alpha"] = node["beta"] = value
+    path = write_doc(tmp_path, json.dumps(doc))
+    assert main(["report", path]) == 0, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["leaves"] == ["l0", "l1", "f"]
+
+
+def test_selftest_leaf_budget(capsys):
+    from rootlink.specfile import MAX_LEAVES
+
+    with pytest.raises(SystemExit) as err:
+        main(["selftest", "--cases", "1", "--max-leaves", str(MAX_LEAVES + 1)])
+    assert err.value.code == 2
+    assert "leaf budget" in capsys.readouterr().err
+
+
 def test_report_json(capsys):
     assert main(["report", str(SIX_LEAF_DOC)]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -14,7 +14,7 @@ from rootlink import (
     render_report,
 )
 
-from conftest import annotation_from, instance
+from conftest import SIX_LEAF_VALUES, annotation_from, instance
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +99,12 @@ def test_render_report_unknown_format(six_report):
         render_report(six_report, "yaml")
 
 
-def test_report_reuses_the_kept_inverse(six_tree, six_annotation, monkeypatch):
+def test_report_on_a_fresh_matrix_runs_no_elimination(
+    six_tree, six_annotation, monkeypatch
+):
     import rootlink.kernels as kernels
 
     tm = build_matrix(six_tree, six_annotation)
-    tm.matrix.inverse()
     calls = []
     real = kernels.inverse_scaled
     monkeypatch.setattr(
@@ -111,6 +112,31 @@ def test_report_reuses_the_kept_inverse(six_tree, six_annotation, monkeypatch):
     )
     build_report(tm, neumann=2)
     assert calls == []
+
+
+def test_report_leaves_the_kept_inverse_alone(six_tree, six_annotation):
+    tm = build_matrix(six_tree, six_annotation)
+    build_report(tm)
+    assert tm.matrix._inv is None  # the report kept its inverse to itself
+    kept = tm.matrix.inverse()
+    assert build_report(tm)["inverse"] == [[str(x) for x in row] for row in kept.rows]
+    assert tm.matrix.inverse() is kept
+
+
+def test_report_validates_once(six_tree, monkeypatch):
+    import rootlink.build as build_mod
+
+    six_annotation = annotation_from(SIX_LEAF_VALUES)  # not yet validated
+
+    calls = []
+    real = build_mod.validate_annotation
+    monkeypatch.setattr(
+        build_mod,
+        "validate_annotation",
+        lambda tree, annotation: calls.append(tree) or real(tree, annotation),
+    )
+    build_report(build_matrix(six_tree, six_annotation))
+    assert len(calls) == 1
 
 
 def test_report_mismatch_carries_counterexample(six_tm, monkeypatch):
