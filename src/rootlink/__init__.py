@@ -66,7 +66,6 @@ from .roots import (
     roots_transpose,
     tree_masses,
 )
-from .selftest import SelftestOutcome, regression_instances, run_selftest
 from .specfile import format_spec, parse_spec
 from .tree import DyadicTree, TreeEdge, build_tree
 from .treesolve import certify_inverse, tree_inverse
@@ -144,3 +143,15 @@ __all__ = [
     "SpecParseError",
     "TheoremMismatchError",
 ]
+
+# The self-test harness loads on first use: a fresh interpreter compiles
+# every module it imports, and a report never needs the harness.
+_SELFTEST_NAMES = frozenset({"run_selftest", "SelftestOutcome", "regression_instances"})
+
+
+def __getattr__(name: str):
+    if name in _SELFTEST_NAMES:
+        from . import selftest
+
+        return getattr(selftest, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,7 +35,6 @@ from .errors import (
     UnknownNodeError,
 )
 from .report import build_report, render_dot, render_report
-from .selftest import run_selftest
 from .specfile import (
     MAX_LEAVES,
     check_budget,
@@ -131,6 +130,8 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_selftest  # loaded only for this command
+
     outcome = run_selftest(
         args.cases,
         args.max_leaves,

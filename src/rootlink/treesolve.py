@@ -291,10 +291,8 @@ def certify_inverse(
             row = [v * x + y for x, y in zip(nums[i], inherited)]
             for j, x in enumerate(row):
                 if x != (target if i == j else 0):
-                    return (
-                        f"(U @ N)[{leaves[i]}][{leaves[j]}] is {x}, "
-                        f"not {target if i == j else 0} (L * d = {target})"
-                    )
+                    expected = "L * d" if i == j else "0"
+                    return f"(U @ N)[{leaves[i]}][{leaves[j]}] != {expected}"
             continue
         a, b = kids
         alpha = _scaled(annotation.alpha(t), scale)

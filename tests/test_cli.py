@@ -278,6 +278,22 @@ def test_selftest_rejects_zero_cases(capsys):
     assert err.value.code == 2
 
 
+def test_report_path_does_not_load_the_selftest():
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, rootlink.cli; "
+        "assert 'rootlink.selftest' not in sys.modules; "
+        "from rootlink import run_selftest; "
+        "assert run_selftest.__module__ == 'rootlink.selftest'"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])

@@ -172,9 +172,10 @@ def test_certificate_names_the_wrong_entry(six_tm):
     denom, nums = tree_inverse(six_tm)
     bad = [list(row) for row in nums]
     bad[2][3] += 1
-    message = certify_inverse(six_tm, denom, bad)
-    assert message.startswith("(U @ N)[")
-    assert "not" in message
+    assert certify_inverse(six_tm, denom, bad) == "(U @ N)[1][4] != 0"
+    bad[2][3] -= 1
+    bad[0][0] += 1
+    assert certify_inverse(six_tm, denom, bad) == "(U @ N)[1][1] != L * d"
 
 
 def test_report_raises_on_a_wrong_tree_inverse(six_tm, monkeypatch):
@@ -252,7 +253,12 @@ def annotated_trees(draw):
     return build_matrix(tree, annotation)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,  # the same examples on every run of the suite
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
 @given(annotated_trees())
 def test_tree_inverse_matches_elimination_property(tm):
     _agrees_with_elimination(tm)
