@@ -367,5 +367,5 @@ def random_instance(
             alpha[node] = alpha[anchor]
 
     annotation = Annotation(alpha, beta)
-    assert not validate_annotation(tree, annotation)
+    require_valid(tree, annotation)  # the repair guarantees it; remembered
     return tree, annotation
