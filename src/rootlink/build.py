@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Tuple
 
 from .errors import (
@@ -37,6 +38,7 @@ __all__ = [
     "AnnotationViolation",
     "validate_annotation",
     "require_valid",
+    "common_denominator",
     "build_matrix",
     "TreeMatrix",
     "random_instance",
@@ -188,6 +190,13 @@ def validate_annotation(
                 _violation("(iv)", node, f"spine node has alpha {a} != beta {b}")
             )
     return tuple(found)
+
+
+def common_denominator(tree: DyadicTree, annotation: Annotation) -> int:
+    """The least common denominator of every value on the tree."""
+    return lcm(
+        *(x.denominator for node in tree.preorder for x in annotation.pair(node))
+    )
 
 
 def require_valid(tree: DyadicTree, annotation: Annotation) -> None:

@@ -28,9 +28,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import lcm
 
-from .build import Annotation
+from .build import Annotation, common_denominator
 from .errors import SpecParseError
 from .tree import DyadicTree, build_tree
 
@@ -204,9 +203,7 @@ def check_budget(tree: DyadicTree, annotation: Annotation) -> None:
             f"over the report budget: {leaves} leaves, at most {MAX_LEAVES}"
         )
     bound = 10**MAX_VALUE_DIGITS
-    denom = lcm(
-        *(x.denominator for node in tree.preorder for x in annotation.pair(node))
-    )
+    denom = common_denominator(tree, annotation)
     if denom >= bound:
         raise SpecParseError(
             "over the report budget: the values' common denominator has "

@@ -46,21 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
-from .build import Annotation, TreeMatrix
+from .build import TreeMatrix, common_denominator
 from .errors import SingularMatrixError
-from .tree import DyadicTree
 
 __all__ = ["TreePass", "tree_pass", "tree_inverse", "certify_inverse"]
-
-
-def _common_denominator(tree: DyadicTree, annotation: Annotation) -> int:
-    """``L``: the least common denominator of every value on the tree."""
-    return lcm(
-        *(x.denominator for node in tree.preorder for x in annotation.pair(node))
-    )
 
 
 def _scaled(value: Fraction, scale: int) -> int:
@@ -103,7 +94,7 @@ def tree_pass(tm: TreeMatrix, node: Optional[str] = None) -> TreePass:
     top = tree.root if node is None else node
     lo, hi = tree.leaf_span(top)
     start = tree.preorder.index(top)
-    scale = _common_denominator(tree, annotation)
+    scale = common_denominator(tree, annotation)
     det: dict[str, int] = {}
     mass: dict[str, int] = {}
     factors: dict[str, tuple[int, int, int, int]] = {}
@@ -264,7 +255,7 @@ def certify_inverse(
     n = len(leaves)
     if len(nums) != n or any(len(row) != n for row in nums):
         return f"claimed inverse is not {n}x{n}"
-    scale = _common_denominator(tree, annotation)
+    scale = common_denominator(tree, annotation)
 
     # sums[u][j]: the sum of column j of N over the leaves below u.
     sums: dict[str, list[int]] = {}

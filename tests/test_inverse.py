@@ -20,6 +20,7 @@ from rootlink import (
     random_instance,
     schur_blocks,
     transition_kernel,
+    tree_inverse,
     tree_masses,
     verify_mass_recursion,
 )
@@ -166,6 +167,8 @@ def test_tree_masses_name_the_singular_node(children, values, node):
     tm = instance(children, "I", values)
     with pytest.raises(SingularMatrixError, match=repr(node)):
         tree_masses(tm)
+    with pytest.raises(SingularMatrixError, match=repr(node)):
+        tree_inverse(tm)
     with pytest.raises(SingularMatrixError):
         tm.restrict(node).matrix.inverse()
 

@@ -81,24 +81,6 @@ def test_single_leaf():
     assert tree_inverse(tm) == (3, [[1]])
 
 
-@pytest.mark.parametrize(
-    "children,values,node",
-    [
-        ({"I": ("1", "2")}, {"I": (2, 2), "1": (2, 2), "2": (3, 3)}, "I"),
-        (
-            {"I": ("M", "3"), "M": ("1", "2")},
-            {"I": (1, 1), "M": (3, 3), "1": (3, 3), "2": (3, 3), "3": (4, 4)},
-            "M",
-        ),
-        ({"I": ("1", "2")}, {"I": (0, 0), "1": (0, 0), "2": (1, 1)}, "1"),
-    ],
-)
-def test_singular_matrix_names_the_node(children, values, node):
-    tm = instance(children, "I", values)
-    with pytest.raises(SingularMatrixError, match=repr(node)):
-        tree_inverse(tm)
-
-
 def test_pass_below_a_node_reads_only_its_subtree(six_tm):
     below = tree_pass(six_tm, "B")
     assert set(below.det) == {"B", "C", "3", "4", "D", "5", "6"}
