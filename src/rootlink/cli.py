@@ -9,11 +9,13 @@ Subcommands:
 * ``random``   — emit a generated instance document.
 * ``selftest`` — randomized structural-vs-oracle cross-check.
 
-Exit codes: 0 success, 1 validation failure, 2 parse error or a document
-over the report's size budget (``specfile.MAX_LEAVES`` leaves,
-``specfile.MAX_VALUE_DIGITS`` digits per value), 3 singular matrix or
-failed hypothesis, 4 structural-vs-oracle mismatch or a failed inverse
-certificate (with a counterexample dump).
+Exit codes: 0 success, 1 validation failure, 2 parse or usage error, a
+document over the report's size budget (``specfile.MAX_LEAVES`` leaves,
+``specfile.MAX_VALUE_DIGITS`` digits per value), or a flag over its cap
+(``--max-leaves`` over ``MAX_LEAVES``, ``--neumann`` over
+``MAX_NEUMANN_STEPS``), 3 singular matrix or failed hypothesis, 4
+structural-vs-oracle mismatch or a failed inverse certificate (with a
+counterexample dump).
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ __all__ = ["main"]
 
 COUNTEREXAMPLE_FILE = "rootlink-counterexample.json"
 
+# Most steps ``report --neumann`` runs: 50 is the most any check uses
+# (criterion 7b).  Each step multiplies two integer matrices whose entries
+# grow with the step count, so the cost grows faster than the steps do.
+MAX_NEUMANN_STEPS = 50
+
 
 def _read_document(path: str) -> str:
     if path == "-":
@@ -79,10 +86,12 @@ def _leaf_budget(value: str) -> int:
     return number
 
 
-def _nonnegative_int(value: str) -> int:
+def _neumann_steps(value: str) -> int:
     number = int(value)
     if number < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
+    if number > MAX_NEUMANN_STEPS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_NEUMANN_STEPS}")
     return number
 
 
@@ -179,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="instance document ('-' for stdin)")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--eta", type=_rational_flag, default=None, metavar="RATIONAL")
-    p.add_argument("--neumann", type=_nonnegative_int, default=None, metavar="M")
+    p.add_argument("--neumann", type=_neumann_steps, default=None, metavar="M")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("dot", help="Graphviz export of the annotated tree")
@@ -189,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="emit a generated instance document")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-leaves", type=_positive_int, default=8)
+    p.add_argument("--max-leaves", type=_leaf_budget, default=8)
     p.add_argument("--strict", action="store_true", help="strictly increasing values")
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     p.set_defaults(func=_cmd_random)

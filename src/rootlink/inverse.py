@@ -8,9 +8,11 @@ self-test compares it with this one.)  A matrix keeps its inverse and a
 on one instance reads the same eliminations; :class:`RestrictionCache` is
 the per-node view of them (restriction, inverse, potentials, mass) that
 the self-test reads.  The closed-form block decomposition at the root
-split is cross-checked against the elimination inverse.  The transition
-kernel ``P = I - (1/eta) * inverse`` and its Neumann partial sums round
-out the probabilistic reading of the inverse.
+split, assembled from plain Fraction rows, is cross-checked against the
+elimination inverse.  The transition kernel ``P = I - (1/eta) * inverse``
+and its Neumann partial sums round out the probabilistic reading of the
+inverse; the partial sums are checked on integer forms, over one positive
+denominator per step.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
+from . import kernels
 from .build import TreeMatrix
 from .errors import (
     EtaTooSmallError,
@@ -152,28 +155,26 @@ def schur_blocks(tm: TreeMatrix) -> SchurBlocks:
             f"root-split denominator {denom} is negative on a nonsingular matrix"
         )
 
-    size_plus = inv_plus.nrows
-    e_last = [Fraction(0)] * size_plus
-    e_last[-1] = Fraction(1)
-
-    top_left = inv_minus + RationalMatrix.outer(
-        pot_minus.mu, pot_minus.nu
-    ).scale(alpha_root / denom)
-    top_right = RationalMatrix.outer(pot_minus.mu, pot_plus.nu).scale(
-        -alpha_root / denom
-    )
-    bottom_left = RationalMatrix.outer(e_last, pot_minus.nu).scale(
-        Fraction(-1) / denom
-    )
-    bottom_right = inv_plus + RationalMatrix.outer(e_last, pot_plus.nu).scale(
-        alpha_root * mass_minus / denom
-    )
+    # Rank-one corrections: mu_minus times nu_minus or nu_plus on the top
+    # blocks, and the fixed leaf's row (the last one) alone on the bottom.
+    scale = alpha_root / denom
+    top_left = [
+        [x + mu * nu * scale for x, nu in zip(row, pot_minus.nu)]
+        for row, mu in zip(inv_minus.rows, pot_minus.mu)
+    ]
+    top_right = [[-mu * nu * scale for nu in pot_plus.nu] for mu in pot_minus.mu]
+    bottom_left = [[Fraction(0)] * len(pot_minus.nu) for _ in pot_plus.nu]
+    bottom_left[-1] = [-nu / denom for nu in pot_minus.nu]
+    bottom_right = [list(row) for row in inv_plus.rows]
+    bottom_right[-1] = [
+        x + nu * scale * mass_minus for x, nu in zip(bottom_right[-1], pot_plus.nu)
+    ]
 
     blocks = SchurBlocks(
-        top_left,
-        top_right,
-        bottom_left,
-        bottom_right,
+        RationalMatrix(top_left),
+        RationalMatrix(top_right),
+        RationalMatrix(bottom_left),
+        RationalMatrix(bottom_right),
         alpha_root,
         pot_minus.mu,
         pot_minus.nu,
@@ -332,10 +333,6 @@ class NeumannReport:
         return self.monotone_ok and self.bounded_ok and self.identity_ok
 
 
-def _max_entry(m: RationalMatrix) -> Fraction:
-    return max(x for row in m.rows for x in row)
-
-
 def neumann_check(
     tm: TreeMatrix, kernel: TransitionKernel, steps: int
 ) -> NeumannReport:
@@ -346,31 +343,56 @@ def neumann_check(
     ``eta*U``, and satisfy ``eta*U - S_M = P^(M+1) @ (eta*U)``.  Gap sizes
     (largest entry of the remainder) are reported as floats per M, purely
     as a convergence diagnostic.
+
+    Every check runs on integers.  With ``P = Q / D`` and ``U = U_int / L``
+    (their integer forms) and ``eta = a / b``, ``P^M = Q^M / D^M`` and
+    ``S_M = T_M / D^M`` with ``T_0 = I`` and ``T_(M+1) = D*T_M + Q^(M+1)``,
+    so the remainder ``eta*U - S_M`` is ``a*D^M*U_int - b*L*T_M`` over the
+    positive denominator ``b*L*D^M``, and the identity holds exactly when
+    ``D`` times that numerator equals ``a * Q^(M+1) @ U_int``.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    target = tm.matrix.scale(kernel.eta)
-    n = target.nrows
-    power = RationalMatrix.identity(n)  # P^M
-    partial = RationalMatrix.identity(n)  # S_M
+    denom, q = kernel.p.integer_form()
+    scale, u = tm.matrix.integer_form()
+    a = kernel.eta.numerator
+    partial_coef = kernel.eta.denominator * scale  # b*L
+    n = len(u)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]  # Q^M
+    partial = power  # T_M
+    denom_power = 1  # D^M
     monotone_ok = bounded_ok = identity_ok = True
     messages: list[str] = []
     gaps: list[float] = []
     for m in range(steps + 1):
-        remainder = target - partial
-        if any(x < 0 for row in remainder.rows for x in row):
+        target_coef = a * denom_power
+        remainder = [
+            [target_coef * x - partial_coef * t for x, t in zip(row, trow)]
+            for row, trow in zip(u, partial)
+        ]
+        if any(x < 0 for row in remainder for x in row):
             bounded_ok = False
             messages.append(f"partial sum exceeds eta*U at M={m}")
-        power = power @ kernel.p  # P^(M+1)
-        if remainder != power @ target:
+        power = kernels.matmul_int(power, q)  # Q^(M+1)
+        tail = kernels.matmul_int(power, u)  # P^(M+1) eta U = a*tail / (b*L*D^(M+1))
+        if any(
+            denom * x != a * y
+            for row, trow in zip(remainder, tail)
+            for x, y in zip(row, trow)
+        ):
             identity_ok = False
             messages.append(f"remainder identity fails at M={m}")
-        gaps.append(float(_max_entry(remainder)))
-        increment = power  # P^(M+1) >= 0 drives S_(M+1) >= S_M
-        if any(x < 0 for row in increment.rows for x in row):
+        largest = max(map(max, remainder))
+        gaps.append(float(Fraction(largest, partial_coef * denom_power)))
+        # Q^(M+1) >= 0 drives S_(M+1) >= S_M
+        if any(x < 0 for row in power for x in row):
             monotone_ok = False
             messages.append(f"partial sums not monotone at M={m}")
-        partial = partial + increment
+        partial = [
+            [denom * t + x for t, x in zip(trow, row)]
+            for trow, row in zip(partial, power)
+        ]
+        denom_power *= denom
     return NeumannReport(
         steps, tuple(gaps), monotone_ok, bounded_ok, identity_ok, tuple(messages)
     )

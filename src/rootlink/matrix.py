@@ -1,18 +1,18 @@
-"""Exact rational matrices backed by integer kernels.
+"""Exact rational matrices: rows, an integer form, and an exact inverse.
 
 :class:`RationalMatrix` stores :class:`~fractions.Fraction` entries in
-immutable row tuples.  Inversion and multiplication clear denominators with
-one LCM per matrix and run on the integer kernels, so results are exact and
-the hot loops stay in :mod:`rootlink.kernels`.  :meth:`RationalMatrix.inverse`
-calls ``kernels.inverse_scaled`` once per matrix and keeps the result
-(:meth:`RationalMatrix.with_inverse` makes a copy that keeps an inverse
-certified by other means instead).  The
-kernel is a fraction-free (Bareiss) LU elimination of the rows below each
-pivot, then one back substitution per column of the carried identity,
-which returns ``det`` and the adjugate exactly.  Every matrix also has an
-*integer form* ``(d, N)`` with ``d > 0`` and ``self == N / d`` entrywise;
-an inverse keeps the one its elimination produced, and row and column
-sums add its integers instead of fractions.
+immutable row tuples.  It has no arithmetic operators: every product a
+check needs runs on integer forms through :mod:`rootlink.kernels`.  Every
+matrix has an *integer form* ``(d, N)`` with ``d > 0`` and ``self == N / d``
+entrywise (one LCM of the denominators, computed once and kept), and its
+row and column sums add those integers instead of fractions.
+:meth:`RationalMatrix.inverse` hands ``N`` to ``kernels.inverse_scaled``
+once per matrix and keeps the result, which keeps the integer form its
+elimination produced; :meth:`RationalMatrix.with_inverse` makes a copy
+that keeps an inverse certified by other means instead.  The kernel is a
+fraction-free (Bareiss) LU elimination of the rows below each pivot, then
+one back substitution per column of the carried identity, which returns
+``det`` and the adjugate exactly.
 """
 
 from __future__ import annotations
@@ -102,23 +102,6 @@ class RationalMatrix:
         out._inv = inverse
         return out
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def outer(
-        cls, u: Sequence[Rational], v: Sequence[Rational]
-    ) -> "RationalMatrix":
-        """Column times row: ``out[i][j] = u[i] * v[j]``."""
-        uf = [to_fraction(x) for x in u]
-        vf = [to_fraction(x) for x in v]
-        return cls._of_fractions([[x * y for y in vf] for x in uf])
-
     # -- access ------------------------------------------------------------
 
     @property
@@ -155,9 +138,6 @@ class RationalMatrix:
         )
         return f"RationalMatrix([{body}])"
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self._rows)
-
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(self._rows[i][i] for i in range(min(self.nrows, self.ncols)))
 
@@ -168,8 +148,17 @@ class RationalMatrix:
         matrix computes the least common denominator once and keeps it.
         """
         if self._int is None:
-            denom, ints = self._scaled_int()
-            self._int = (denom, tuple(map(tuple, ints)))
+            denom = 1
+            for row in self._rows:
+                for x in row:
+                    denom = lcm(denom, x.denominator)
+            self._int = (
+                denom,
+                tuple(
+                    tuple(x.numerator * (denom // x.denominator) for x in row)
+                    for row in self._rows
+                ),
+            )
         return self._int
 
     def row_sums(self) -> tuple[Fraction, ...]:
@@ -192,68 +181,6 @@ class RationalMatrix:
             [[self._rows[i][j] for j in col_idx] for i in row_idx]
         )
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._of_fractions(zip(*self._rows))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _binary(self, other: "RationalMatrix", op) -> "RationalMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return RationalMatrix._of_fractions(
-            [
-                [op(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ]
-        )
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._binary(other, lambda a, b: a - b)
-
-    def scale(self, c: Rational) -> "RationalMatrix":
-        cf = to_fraction(c)
-        return RationalMatrix._of_fractions(
-            [[cf * x for x in row] for row in self._rows]
-        )
-
-    def __neg__(self) -> "RationalMatrix":
-        return self.scale(-1)
-
-    def _scaled_int(self) -> tuple[int, list[list[int]]]:
-        """(L, M) with ``M = L * self`` integral and L the denominator LCM."""
-        denom = 1
-        for row in self._rows:
-            for x in row:
-                denom = lcm(denom, x.denominator)
-        ints = [
-            [int(x.numerator * (denom // x.denominator)) for x in row]
-            for row in self._rows
-        ]
-        return denom, ints
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        la, ma = self._scaled_int()
-        lb, mb = other._scaled_int()
-        prod = kernels.matmul_int(ma, mb)
-        scale = la * lb
-        return RationalMatrix._of_fractions(
-            [[Fraction(x, scale) for x in row] for row in prod]
-        )
-
-    def matvec(self, v: Sequence[Rational]) -> tuple[Fraction, ...]:
-        vf = [to_fraction(x) for x in v]
-        if len(vf) != self.ncols:
-            raise ValueError(f"shape mismatch: {self.shape} @ vector[{len(vf)}]")
-        return tuple(
-            sum((a * b for a, b in zip(row, vf)), Fraction(0))
-            for row in self._rows
-        )
-
     # -- linear algebra --------------------------------------------------------
 
     def inverse(self) -> "RationalMatrix":
@@ -266,7 +193,7 @@ class RationalMatrix:
             return self._inv
         if self.nrows != self.ncols:
             raise ValueError(f"matrix is not square: {self.shape}")
-        scale, ints = self._scaled_int()
+        scale, ints = self.integer_form()
         result = kernels.inverse_scaled(ints)
         if result is None:
             raise SingularMatrixError(
@@ -278,16 +205,3 @@ class RationalMatrix:
             abs(det), ((factor * x for x in row) for row in adj)
         )
         return self._inv
-
-    def det(self) -> Fraction:
-        """Exact determinant."""
-        if self.nrows != self.ncols:
-            raise ValueError(f"matrix is not square: {self.shape}")
-        if self.nrows == 0:
-            return Fraction(1)
-        scale, ints = self._scaled_int()
-        result = kernels.inverse_scaled(ints)
-        if result is None:
-            return Fraction(0)
-        det, _ = result
-        return Fraction(det, scale**self.nrows)

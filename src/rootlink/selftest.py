@@ -126,14 +126,15 @@ def _suite_annotation_valid(ctx: RestrictionCache) -> list[str]:
 
 
 def _suite_ultrametric(ctx: RestrictionCache) -> list[str]:
-    m = ctx.tm.matrix
-    n = m.nrows
+    # Compared on the integer form: one positive scale keeps every verdict.
+    _, m = ctx.tm.matrix.integer_form()
+    n = len(m)
     for i in range(n):
         row = m[i]
         for j in range(n):
             bound = row[j]
             for k in range(n):
-                if min(row[k], m[k, j]) > bound:
+                if min(row[k], m[k][j]) > bound:
                     return [f"entry ({i},{j}) below min via {k}"]
     return []
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootlink import Annotation, TreeMatrix, build_matrix
+from rootlink import Annotation, RationalMatrix, TreeMatrix, build_matrix, kernels
 from rootlink.tree import DyadicTree, build_tree
 
 SIX_LEAF_CHILDREN = {
@@ -64,6 +64,18 @@ def instance(
     values: dict[str, tuple[int, int]],
 ) -> TreeMatrix:
     return build_matrix(build_tree(children, root), annotation_from(values))
+
+
+def is_inverse_pair(m: RationalMatrix, inv: RationalMatrix) -> bool:
+    """Whether ``m @ inv`` and ``inv @ m`` are both the identity.
+
+    Multiplies the integer forms ``m = A / l`` and ``inv = B / d``, so the
+    test is ``A B = B A = l d I``.
+    """
+    (l, a), (d, b) = m.integer_form(), inv.integer_form()
+    n = len(a)
+    ident = [[l * d if i == j else 0 for j in range(n)] for i in range(n)]
+    return kernels.matmul_int(a, b) == ident and kernels.matmul_int(b, a) == ident
 
 
 def caterpillar(leaves: int, seed: int) -> TreeMatrix:

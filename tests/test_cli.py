@@ -143,6 +143,25 @@ def test_selftest_leaf_budget(capsys):
     assert "leaf budget" in capsys.readouterr().err
 
 
+def test_report_at_the_neumann_cap(capsys):
+    from rootlink.cli import MAX_NEUMANN_STEPS
+
+    argv = ["report", str(SIX_LEAF_DOC), "--neumann", str(MAX_NEUMANN_STEPS)]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["neumann_steps"] == MAX_NEUMANN_STEPS
+    assert len(doc["neumann_gaps"]) == MAX_NEUMANN_STEPS + 1
+
+
+def test_report_neumann_cap_exit_2(capsys):
+    from rootlink.cli import MAX_NEUMANN_STEPS
+
+    with pytest.raises(SystemExit) as err:
+        main(["report", str(SIX_LEAF_DOC), "--neumann", str(MAX_NEUMANN_STEPS + 1)])
+    assert err.value.code == 2
+    assert f"must be <= {MAX_NEUMANN_STEPS}" in capsys.readouterr().err
+
+
 def test_report_json(capsys):
     assert main(["report", str(SIX_LEAF_DOC)]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -234,6 +253,18 @@ def test_random_emits_valid_document(capsys):
     tree, annotation = parse_spec(text)
     assert validate_annotation(tree, annotation) == ()
     assert 1 <= len(tree.leaf_order) <= 7
+
+
+def test_random_leaf_budget(capsys):
+    from rootlink.specfile import MAX_LEAVES
+
+    assert main(["random", "--seed", "2", "--max-leaves", str(MAX_LEAVES)]) == 0
+    tree, _ = parse_spec(capsys.readouterr().out)
+    assert len(tree.leaf_order) <= MAX_LEAVES
+    with pytest.raises(SystemExit) as err:
+        main(["random", "--max-leaves", str(MAX_LEAVES + 1)])
+    assert err.value.code == 2
+    assert "leaf budget" in capsys.readouterr().err
 
 
 def test_random_roundtrips_through_validate(tmp_path, capsys):

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from rootlink import (
     EtaTooSmallError,
+    NeumannReport,
     RationalMatrix,
     RestrictionCache,
     SingularMatrixError,
     TheoremMismatchError,
+    TransitionKernel,
     build_matrix,
     build_tree,
     neumann_check,
@@ -25,16 +28,30 @@ from rootlink import (
     verify_mass_recursion,
 )
 
-from conftest import SIX_LEAF_INVERSE_8X, annotation_from, caterpillar, instance
+from conftest import (
+    SIX_LEAF_INVERSE_8X,
+    annotation_from,
+    caterpillar,
+    instance,
+    is_inverse_pair,
+)
 
 
 def scaled(rows: list[list[int]], denom: int) -> RationalMatrix:
     return RationalMatrix([[Fraction(x, denom) for x in row] for row in rows])
 
 
+def identity_minus(minv: RationalMatrix, eta) -> RationalMatrix:
+    """``I - minv / eta``, entry by entry."""
+    return RationalMatrix(
+        [int(i == j) - x / eta for j, x in enumerate(row)]
+        for i, row in enumerate(minv.rows)
+    )
+
+
 def test_six_leaf_inverse_exact(six_tm, six_inverse):
     assert six_inverse == scaled(SIX_LEAF_INVERSE_8X, 8)
-    assert six_tm.matrix @ six_inverse == RationalMatrix.identity(6)
+    assert is_inverse_pair(six_tm.matrix, six_inverse)
     assert six_tm.matrix.inverse() == six_inverse
 
 
@@ -218,9 +235,7 @@ def test_transition_kernel_six_leaf(six_inverse):
     assert kernel.eta == kernel.eta_min == Fraction(11, 8)
     assert kernel.p[1, 0] == Fraction(8, 11)
     assert kernel.p[0, 2] == 0
-    assert kernel.p == RationalMatrix.identity(6) - six_inverse.scale(
-        Fraction(8, 11)
-    )
+    assert kernel.p == identity_minus(six_inverse, Fraction(11, 8))
     assert all(x >= 0 for row in kernel.p.rows for x in row)
     assert all(s <= 1 for s in kernel.p.col_sums())
 
@@ -262,7 +277,7 @@ def test_transition_kernel_rejects_column_sum_above_one():
 @pytest.mark.parametrize("eta", [None, Fraction(11, 8), 2, Fraction(7, 3)])
 def test_transition_kernel_p_is_identity_minus_scaled_inverse(six_inverse, eta):
     kernel = transition_kernel(six_inverse, eta)
-    assert kernel.p == RationalMatrix.identity(6) - six_inverse.scale(1 / kernel.eta)
+    assert kernel.p == identity_minus(six_inverse, kernel.eta)
     assert kernel.p is kernel.p  # built once, on first read
 
 
@@ -272,7 +287,7 @@ def _kernel_from_p(minv: RationalMatrix, eta) -> str:
     eta = eta_min if eta is None else Fraction(eta)
     if eta <= 0:
         return "EtaTooSmallError"
-    p = RationalMatrix.identity(minv.nrows) - minv.scale(1 / eta)
+    p = identity_minus(minv, eta)
     n = minv.nrows
     if any(p[i, i] < 0 for i in range(n)):
         return "EtaTooSmallError"
@@ -314,7 +329,7 @@ def test_transition_kernel_signs_match_an_explicit_p(seed):
         got = f"ValueError: {exc}"
     else:
         got = "ok"
-        assert kernel.p == RationalMatrix.identity(n) - minv.scale(1 / kernel.eta)
+        assert kernel.p == identity_minus(minv, kernel.eta)
     assert got == _kernel_from_p(minv, eta)
 
 
@@ -336,3 +351,110 @@ def test_neumann_zero_steps(six_tm, six_inverse):
     report = neumann_check(six_tm, kernel, 0)
     assert report.ok
     assert report.gaps == (5.5,)
+
+
+def _fraction_matmul(a, b):
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
+def reference_neumann(tm, kernel, steps: int) -> NeumannReport:
+    """The Neumann check in plain Fraction arithmetic, as a second opinion."""
+    target = [[kernel.eta * x for x in row] for row in tm.matrix.rows]
+    p = [list(row) for row in kernel.p.rows]
+    n = len(target)
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]  # P^M
+    partial = power  # S_M
+    monotone_ok = bounded_ok = identity_ok = True
+    messages = []
+    gaps = []
+    for m in range(steps + 1):
+        remainder = [[x - s for x, s in zip(r, q)] for r, q in zip(target, partial)]
+        if any(x < 0 for row in remainder for x in row):
+            bounded_ok = False
+            messages.append(f"partial sum exceeds eta*U at M={m}")
+        power = _fraction_matmul(power, p)  # P^(M+1)
+        if remainder != _fraction_matmul(power, target):
+            identity_ok = False
+            messages.append(f"remainder identity fails at M={m}")
+        gaps.append(float(max(map(max, remainder))))
+        if any(x < 0 for row in power for x in row):
+            monotone_ok = False
+            messages.append(f"partial sums not monotone at M={m}")
+        partial = [[s + x for s, x in zip(q, r)] for q, r in zip(partial, power)]
+    return NeumannReport(
+        steps, tuple(gaps), monotone_ok, bounded_ok, identity_ok, tuple(messages)
+    )
+
+
+@pytest.mark.parametrize("strictness", ["lax", "strict"])
+def test_neumann_matches_fraction_reference_on_random_draws(strictness):
+    checked = 0
+    seed = 0
+    while checked < 100:
+        tm = build_matrix(*random_instance(seed, 7, strictness))
+        seed += 1
+        try:
+            minv = tm.matrix.inverse()
+        except SingularMatrixError:
+            continue
+        base = transition_kernel(minv)
+        for kernel in (base, transition_kernel(minv, base.eta_min + Fraction(3, 7))):
+            report = neumann_check(tm, kernel, 4)
+            assert report == reference_neumann(tm, kernel, 4)
+            assert report.ok
+        checked += 1
+
+
+@pytest.mark.parametrize("eta", [None, Fraction(11, 8) + Fraction(3, 7)])
+def test_neumann_six_leaf_matches_fraction_reference(six_tm, six_inverse, eta):
+    kernel = transition_kernel(six_inverse, eta)
+    assert neumann_check(six_tm, kernel, 50) == reference_neumann(six_tm, kernel, 50)
+
+
+TWO_LEAF = ({"I": ("1", "2")}, "I", {"I": (1, 1), "1": (2, 2), "2": (3, 3)})
+
+
+@pytest.mark.parametrize(
+    "minv,eta,flags,messages",
+    [
+        # Not the inverse of U = [[2, 1], [3, 3]]: P = 0, so S_M = I stays
+        # below eta*U = U but never reaches it.
+        (
+            [[1, 0], [0, 1]],
+            1,
+            (True, True, False),
+            ("remainder identity fails at M=0", "remainder identity fails at M=1"),
+        ),
+        # The true inverse, but eta below its largest diagonal entry 1:
+        # P = I - (4/3) U^-1 has a negative diagonal entry.
+        (
+            [[1, Fraction(-1, 3)], [-1, Fraction(2, 3)]],
+            Fraction(3, 4),
+            (False, True, True),
+            ("partial sums not monotone at M=0", "partial sums not monotone at M=1"),
+        ),
+        # eta so small that eta*U = U/4 is already below S_0 = I.
+        (
+            [[1, Fraction(-1, 3)], [-1, Fraction(2, 3)]],
+            Fraction(1, 4),
+            (False, False, True),
+            (
+                "partial sum exceeds eta*U at M=0",
+                "partial sums not monotone at M=0",
+                "partial sum exceeds eta*U at M=1",
+                "partial sums not monotone at M=1",
+            ),
+        ),
+    ],
+)
+def test_neumann_failure_messages(minv, eta, flags, messages):
+    # TransitionKernel is built directly: transition_kernel would refuse
+    # these, so only the partial-sum checks can catch them.
+    tm = instance(*TWO_LEAF)
+    minv = RationalMatrix(minv)
+    kernel = TransitionKernel(minv, Fraction(eta), max(minv.diagonal()))
+    report = neumann_check(tm, kernel, 1)
+    assert (report.monotone_ok, report.bounded_ok, report.identity_ok) == flags
+    assert report.messages == messages
+    assert not report.ok
+    assert report == reference_neumann(tm, kernel, 1)

@@ -10,7 +10,7 @@ import pytest
 from rootlink import RationalMatrix, build_matrix, kernels, random_instance, to_fraction
 from rootlink.errors import SingularMatrixError
 
-from conftest import caterpillar
+from conftest import caterpillar, is_inverse_pair
 
 # The kernels are pure Python; "python" names them in the test ids.
 KERNELS = pytest.mark.parametrize("kernel", [kernels], ids=["python"])
@@ -81,29 +81,12 @@ def test_basic_ops():
     assert m.shape == (2, 2)
     assert m[1, 0] == 3
     assert m.rows[0] == (Fraction(1), Fraction(2))
-    assert m.transpose().rows == ((Fraction(1), Fraction(3)), (Fraction(2), Fraction(4)))
-    assert (m + m).rows == ((2, 4), (6, 8))
-    assert (m - m) == RationalMatrix.zeros(2, 2)
-    assert m.scale(Fraction(1, 2)).rows == ((Fraction(1, 2), 1), (Fraction(3, 2), 2))
-    assert (-m)[0, 1] == -2
     assert m.diagonal() == (1, 4)
     assert m.row_sums() == (3, 7)
     assert m.col_sums() == (4, 6)
-    assert m.column(1) == (2, 4)
-    assert m.det() == -2
 
 
-def test_matmul_and_matvec():
-    m = RationalMatrix([[1, 2], [3, 4]])
-    ident = RationalMatrix.identity(2)
-    assert m @ ident == m
-    assert (m @ m).rows == ((7, 10), (15, 22))
-    assert m.matvec([1, 1]) == (3, 7)
-
-
-def test_outer_and_submatrix():
-    outer = RationalMatrix.outer([1, 2], [3, 4, 5])
-    assert outer.rows == ((3, 4, 5), (6, 8, 10))
+def test_submatrix():
     sub = RationalMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).submatrix([0, 2], [1, 2])
     assert sub.rows == ((2, 3), (8, 9))
 
@@ -143,8 +126,7 @@ def test_inverse_matches_gauss_jordan(seed):
         return
     inv = m.inverse()
     assert inv == RationalMatrix(expected)
-    assert m @ inv == RationalMatrix.identity(n)
-    assert inv @ m == RationalMatrix.identity(n)
+    assert is_inverse_pair(m, inv)
 
 
 def test_det_matches_cofactor_expansion():
@@ -162,7 +144,10 @@ def test_det_matches_cofactor_expansion():
     for _ in range(6):
         n = rng.randint(1, 5)
         m = random_rational_matrix(rng, n)
-        assert m.det() == cofactor_det([list(row) for row in m.rows])
+        scale, ints = m.integer_form()
+        result = kernels.inverse_scaled(ints)
+        det = 0 if result is None else Fraction(result[0], scale**n)
+        assert det == cofactor_det([list(row) for row in m.rows])
 
 
 @KERNELS
@@ -265,8 +250,7 @@ def test_zero_multiplier_rows_not_skipped():
     # A pivot column with zeros elsewhere must still recombine every row:
     # the Bareiss sweep divides by the previous pivot unconditionally.
     m = RationalMatrix([[2, 0, 1], [0, 3, 0], [1, 0, 2]])
-    inv = m.inverse()
-    assert m @ inv == RationalMatrix.identity(3)
+    assert is_inverse_pair(m, m.inverse())
 
 
 def test_empty_matrix_kernel():
