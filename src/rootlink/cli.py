@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 validation failure, 2 parse or usage error, a
 document over the report's size budget (``specfile.MAX_LEAVES`` leaves,
 ``specfile.MAX_VALUE_DIGITS`` digits per value), or a flag over its cap
 (``--max-leaves`` over ``MAX_LEAVES``, ``--neumann`` over
-``MAX_NEUMANN_STEPS``), 3 singular matrix or failed hypothesis, 4
+``MAX_NEUMANN_STEPS``, an ``--eta`` numerator or denominator over
+``MAX_VALUE_DIGITS`` digits), 3 singular matrix or failed hypothesis, 4
 structural-vs-oracle mismatch or a failed inverse certificate (with a
 counterexample dump).
 """
@@ -39,6 +40,7 @@ from .errors import (
 from .report import build_report, render_dot, render_report
 from .specfile import (
     MAX_LEAVES,
+    MAX_VALUE_DIGITS,
     check_budget,
     format_spec,
     parse_rational,
@@ -65,11 +67,18 @@ def _read_document(path: str) -> str:
         raise SpecParseError(f"cannot read {path}: {exc}") from None
 
 
-def _rational_flag(value: str):
+def _eta_flag(value: str):
+    """A rational within the document budget: each Neumann gap then fits a float."""
     try:
-        return parse_rational(value, "flag value")
+        eta = parse_rational(value, "flag value")
     except SpecParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    bound = 10**MAX_VALUE_DIGITS
+    if abs(eta.numerator) >= bound or eta.denominator >= bound:
+        raise argparse.ArgumentTypeError(
+            f"numerator and denominator must have at most {MAX_VALUE_DIGITS} digits"
+        )
+    return eta
 
 
 def _positive_int(value: str) -> int:
@@ -187,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full exact analysis of one instance")
     p.add_argument("path", help="instance document ('-' for stdin)")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--eta", type=_rational_flag, default=None, metavar="RATIONAL")
+    p.add_argument("--eta", type=_eta_flag, default=None, metavar="RATIONAL")
     p.add_argument("--neumann", type=_neumann_steps, default=None, metavar="M")
     p.set_defaults(func=_cmd_report)
 

@@ -15,7 +15,9 @@ For leaves ``i != j`` meeting at node ``L``, whether the inverse entry
   the ancestor's beta value is not attained by a leaf on the opposite
   side), and finally must strictly exceed the spine anchor's alpha.
 
-Every verdict carries a trace naming the rule that decided it; the oracle
+The side roots are the per-node sets ``roots`` and ``roots_t`` of
+:class:`~rootlink.roots.StructureSets`, computed once per tree.  Every
+verdict carries a trace naming the rule that decided it; the oracle
 (the exact inverse) adjudicates disagreements.  Apart from side-root
 membership, a verdict depends only on the meet and the direction, so
 :func:`link_matrix` decides whole (meet, direction) blocks at once and
@@ -31,7 +33,10 @@ from typing import Callable, Optional
 
 from .build import Annotation, TreeMatrix, require_valid
 from .matrix import RationalMatrix
-from .roots import StructureSets, build_structure_sets, roots_structural, roots_transpose
+from .roots import StructureSets, build_structure_sets
+# Unused here; perfbench/test_perfbench.py checks that its tracer rebinds
+# ``links.roots_structural`` and fails without this import.
+from .roots import roots_structural  # noqa: F401
 from .tree import DyadicTree, TreeEdge
 
 __all__ = [
@@ -64,34 +69,6 @@ class LinkTrace:
     rule: str  # the clause that decided the verdict
     linked: bool
     steps: tuple[str, ...]
-
-
-_SideRootSets = tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]
-
-
-def _side_roots(tree: DyadicTree, sets: StructureSets) -> _SideRootSets:
-    """Structural roots and transpose roots of every off-spine node, bottom-up.
-
-    A leaf's set is the leaf itself; a child's set passes up to its parent
-    unless the edge between them is in ``gamma`` (for roots) or ``gamma_t``
-    (for transpose roots).  Off the spine this is the path test of
-    :func:`~rootlink.roots.roots_structural` and
-    :func:`~rootlink.roots.roots_transpose`, for all nodes at once.
-    """
-    roots: dict[str, frozenset[str]] = {}
-    roots_t: dict[str, frozenset[str]] = {}
-    for node in reversed(tree.preorder):
-        if tree.on_spine(node):
-            continue
-        kids = tree.children(node)
-        if not kids:
-            roots[node] = roots_t[node] = frozenset((node,))
-            continue
-        up = [roots[k] for k in kids if TreeEdge(node, k) not in sets.gamma]
-        up_t = [roots_t[k] for k in kids if TreeEdge(node, k) not in sets.gamma_t]
-        roots[node] = frozenset().union(*up)
-        roots_t[node] = frozenset().union(*up_t)
-    return roots, roots_t
 
 
 def _climb(
@@ -147,17 +124,14 @@ def link_structural(
     sets: StructureSets,
     row: str,
     col: str,
-    side_roots: Optional[_SideRootSets] = None,
 ) -> LinkTrace:
     """Predict whether the inverse entry at (row, col) is negative.
 
     ``row`` and ``col`` are distinct leaf ids.  Only used on nonsingular
     matrices; the off-spine branch never needs the fixed-leaf exit test
     because side restrictions of an off-spine meet are off the spine
-    themselves.  ``side_roots`` is the pair of per-node root and
-    transpose-root sets that :func:`link_matrix` computes once; when it is
-    omitted, the meet's off-spine children get theirs from the per-leaf
-    path tests of :func:`roots_structural` and :func:`roots_transpose`.
+    themselves.  Side-root membership is read from ``sets.roots`` and
+    ``sets.roots_t``.
     """
     tree = tm.tree
     if row == col:
@@ -165,13 +139,7 @@ def link_structural(
     meet = tree.lca(row, col)
     anchor = tree.spine_anchor(meet)
     minus, plus = tree.children(meet)
-    if side_roots is None:
-        sides = [side for side in (minus, plus) if not tree.on_spine(side)]
-        side_roots = (
-            {side: roots_structural(tm, sets, side).roots for side in sides},
-            {side: roots_transpose(tree, sets, side) for side in sides},
-        )
-    roots, roots_t = side_roots
+    roots, roots_t = sets.roots, sets.roots_t
     upper = tree.leaf_index(row) < tree.leaf_index(col)
     entry = tm.matrix[tree.leaf_index(row), tree.leaf_index(col)]
     steps: list[str] = []
@@ -236,11 +204,9 @@ class LinkReport:
         return self._trace_all()
 
 
-def _all_traces(
-    tm: TreeMatrix, sets: StructureSets, side_roots: _SideRootSets
-) -> tuple[LinkTrace, ...]:
+def _all_traces(tm: TreeMatrix, sets: StructureSets) -> tuple[LinkTrace, ...]:
     return tuple(
-        link_structural(tm, sets, row, col, side_roots)
+        link_structural(tm, sets, row, col)
         for row in tm.leaves
         for col in tm.leaves
         if row != col
@@ -248,7 +214,7 @@ def _all_traces(
 
 
 def _linked_block(
-    tm: TreeMatrix, sets: StructureSets, side_roots: _SideRootSets, meet: str, upper: bool
+    tm: TreeMatrix, sets: StructureSets, meet: str, upper: bool
 ) -> tuple[frozenset[str], frozenset[str]]:
     """Rows and columns linked at ``meet`` in one direction.
 
@@ -258,7 +224,7 @@ def _linked_block(
     exactly ``rows x cols``.
     """
     tree = tm.tree
-    roots, roots_t = side_roots
+    roots, roots_t = sets.roots, sets.roots_t
     minus, plus = tree.children(meet)
     none: frozenset[str] = frozenset()
     if tree.on_spine(meet):
@@ -282,8 +248,8 @@ def link_matrix(tm: TreeMatrix, sets: Optional[StructureSets] = None) -> LinkRep
 
     Off the spine, a pair's verdict depends only on its meet, its direction
     and side-root membership, so the verdicts come per (meet, direction)
-    block: the side roots of every node are computed once, bottom-up, and
-    each block needs one climb.  The linked pairs are compared with the
+    block: the side roots are read from ``sets``, and each block needs one
+    climb.  The linked pairs are compared with the
     negative entries of the exact inverse that ``tm.matrix`` keeps;
     :func:`link_structural` runs only on the pairs that disagree, and
     :attr:`LinkReport.traces` builds all traces on first read.
@@ -291,7 +257,6 @@ def link_matrix(tm: TreeMatrix, sets: Optional[StructureSets] = None) -> LinkRep
     sets = sets or build_structure_sets(tm.tree, tm.annotation)
     tree = tm.tree
     leaves = tm.leaves
-    side_roots = _side_roots(tree, sets)
     _, nums = tm.matrix.inverse().integer_form()
     links = []
     oracle_links = []
@@ -303,7 +268,7 @@ def link_matrix(tm: TreeMatrix, sets: Optional[StructureSets] = None) -> LinkRep
             (True, range(lo, mid), range(mid, hi)),
             (False, range(mid, hi), range(lo, mid)),
         ):
-            rows, cols = _linked_block(tm, sets, side_roots, meet, upper)
+            rows, cols = _linked_block(tm, sets, meet, upper)
             for i in row_span:
                 row = leaves[i]
                 row_linked = row in rows
@@ -318,14 +283,14 @@ def link_matrix(tm: TreeMatrix, sets: Optional[StructureSets] = None) -> LinkRep
                     if linked != truth:
                         bad.append((i, j))
     mismatches = tuple(
-        link_structural(tm, sets, leaves[i], leaves[j], side_roots)
+        link_structural(tm, sets, leaves[i], leaves[j])
         for i, j in sorted(bad)
     )
     return LinkReport(
         frozenset(links),
         frozenset(oracle_links),
         mismatches,
-        partial(_all_traces, tm, sets, side_roots),
+        partial(_all_traces, tm, sets),
     )
 
 

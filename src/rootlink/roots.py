@@ -9,6 +9,9 @@ the relevant edge set — except for the fixed leaf of a spine restriction,
 whose verdict comes from an exact scalar inequality over the spine masses
 (read off the bottom-up pass of :mod:`rootlink.treesolve` by
 :func:`tree_masses`, not from inversion).
+:func:`build_structure_sets` runs that path test once for every node, in
+one bottom-up pass, and :func:`roots_structural`, :func:`roots_transpose`
+and the link rules of :mod:`rootlink.links` read its sets.
 Only the oracle sides, :attr:`ExitReport.last_row_sum` and
 :func:`diagonal_mass_bounds`, read an inverse: the one the restriction's
 matrix keeps, shared with every other caller.  That is the elimination
@@ -47,20 +50,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StructureSets:
-    """Edge sets and per-leaf ancestor matches for one annotated tree."""
+    """Edge sets and the root and transpose-root sets of every node."""
 
     gamma: frozenset[TreeEdge]
     gamma_t: frozenset[TreeEdge]
-    # ancestors (node ids, leaf included) sharing the leaf's alpha / beta value
-    alpha_matches: dict[str, frozenset[str]]
-    beta_matches: dict[str, frozenset[str]]
+    # leaves below each node whose path up to it avoids gamma / gamma_t
+    roots: dict[str, frozenset[str]]
+    roots_t: dict[str, frozenset[str]]
 
 
 def build_structure_sets(tree: DyadicTree, annotation: Annotation) -> StructureSets:
-    """Construct both edge sets and the per-leaf matching-ancestor maps."""
+    """Construct both edge sets and every node's path-test sets, bottom-up.
+
+    A leaf's set is the leaf itself; a child's set passes up to its parent
+    unless the edge between them is in ``gamma`` (for ``roots``) or
+    ``gamma_t`` (for ``roots_t``).  So ``roots[v]`` holds the leaves whose
+    path up to ``v`` avoids ``gamma``, spine nodes included.
+    """
     require_valid(tree, annotation)
 
-    # Leaf value sets per subtree, bottom-up.
+    spine = set(tree.spine())
+    gamma = set()
+    gamma_t = set()
+    roots: dict[str, frozenset[str]] = {}
+    roots_t: dict[str, frozenset[str]] = {}
+    # Leaf value sets per subtree.
     leaf_alphas: dict[str, frozenset[Fraction]] = {}
     leaf_betas: dict[str, frozenset[Fraction]] = {}
     for node in reversed(tree.preorder):
@@ -68,41 +82,29 @@ def build_structure_sets(tree: DyadicTree, annotation: Annotation) -> StructureS
         if not kids:
             leaf_alphas[node] = frozenset((annotation.alpha(node),))
             leaf_betas[node] = frozenset((annotation.beta(node),))
-        else:
-            leaf_alphas[node] = leaf_alphas[kids[0]] | leaf_alphas[kids[1]]
-            leaf_betas[node] = leaf_betas[kids[0]] | leaf_betas[kids[1]]
-
-    spine = set(tree.spine())
-    gamma = set()
-    gamma_t = set()
-    for node in tree.internal_nodes():
-        minus, plus = tree.children(node)
+            roots[node] = roots_t[node] = frozenset((node,))
+            continue
+        minus, plus = kids
+        leaf_alphas[node] = leaf_alphas[minus] | leaf_alphas[plus]
+        leaf_betas[node] = leaf_betas[minus] | leaf_betas[plus]
+        minus_edge, plus_edge = TreeEdge(node, minus), TreeEdge(node, plus)
         a, b = annotation.pair(node)
         if a in leaf_alphas[plus]:
-            gamma.add(TreeEdge(node, minus))
+            gamma.add(minus_edge)
         if b in leaf_betas[minus]:
-            gamma.add(TreeEdge(node, plus))
+            gamma.add(plus_edge)
         if node in spine:
-            gamma_t.add(TreeEdge(node, minus))
+            gamma_t.add(minus_edge)
         else:
             if b in leaf_betas[plus]:
-                gamma_t.add(TreeEdge(node, minus))
+                gamma_t.add(minus_edge)
             if a in leaf_alphas[minus]:
-                gamma_t.add(TreeEdge(node, plus))
-
-    alpha_matches = {}
-    beta_matches = {}
-    for leaf in tree.leaf_order:
-        a, b = annotation.pair(leaf)
-        alpha_matches[leaf] = frozenset(
-            anc for anc in tree.ancestors(leaf) if annotation.alpha(anc) == a
-        )
-        beta_matches[leaf] = frozenset(
-            anc for anc in tree.ancestors(leaf) if annotation.beta(anc) == b
-        )
-    return StructureSets(
-        frozenset(gamma), frozenset(gamma_t), alpha_matches, beta_matches
-    )
+                gamma_t.add(plus_edge)
+        up = [roots[k] for k in kids if TreeEdge(node, k) not in gamma]
+        up_t = [roots_t[k] for k in kids if TreeEdge(node, k) not in gamma_t]
+        roots[node] = frozenset().union(*up)
+        roots_t[node] = frozenset().union(*up_t)
+    return StructureSets(frozenset(gamma), frozenset(gamma_t), roots, roots_t)
 
 
 def roots_transpose(
@@ -116,11 +118,7 @@ def roots_transpose(
     node = tree.root if node is None else node
     if node not in tree:
         raise UnknownNodeError(node)
-    return frozenset(
-        leaf
-        for leaf in tree.leaves_below(node)
-        if not (tree.geodesic_edges(leaf, node) & sets.gamma_t)
-    )
+    return sets.roots_t[node]
 
 
 def tree_masses(tm: TreeMatrix, node: Optional[str] = None) -> dict[str, Fraction]:
@@ -236,39 +234,44 @@ def roots_structural(
     """Structural exiting roots of the restriction at ``node``.
 
     Every leaf except possibly the restriction's fixed leaf is a root
-    exactly when its path up to ``node`` avoids ``gamma``.  When ``node``
-    lies on the original spine, the restriction keeps the original fixed
-    leaf and its verdict comes from :func:`fixed_leaf_exit`; off the spine
-    the restriction has no distinguished row and the path test applies to
-    every leaf.
+    exactly when its path up to ``node`` avoids ``gamma``, which is
+    membership in ``sets.roots[node]``.  When ``node`` lies on the original
+    spine, the restriction keeps the original fixed leaf and its verdict
+    comes from :func:`fixed_leaf_exit`; off the spine the restriction has
+    no distinguished row and the path test applies to every leaf.
     """
     tree = tm.tree
     node = tree.root if node is None else node
     if node not in tree:
         raise UnknownNodeError(node)
-    leaves = tree.leaves_below(node)
     on_spine = tree.on_spine(node)
-    fixed = leaves[-1]
+    fixed = tree.leaves_below(node)[-1]
+    roots = sets.roots[node] - {fixed} if on_spine else sets.roots[node]
 
-    roots = set()
+    # The first blocking edge of each non-root is the highest gamma edge on
+    # its path, carried down from ``node`` in one walk; leaves come out in
+    # leaf order.
     blocked = []
-    for leaf in leaves:
-        if on_spine and leaf == fixed:
+    stack: list[tuple[str, Optional[TreeEdge]]] = [(node, None)]
+    while stack:
+        cur, first = stack.pop()
+        kids = tree.children(cur)
+        if not kids:
+            if first is not None and not (on_spine and cur == fixed):
+                blocked.append((cur, first))
             continue
-        hits = tree.geodesic_edges(leaf, node) & sets.gamma
-        if hits:
-            blocked.append((leaf, min(hits, key=tree.edge_key)))
-        else:
-            roots.add(leaf)
+        for kid in reversed(kids):
+            edge = TreeEdge(cur, kid)
+            stack.append((kid, first or (edge if edge in sets.gamma else None)))
 
     exit_report = None
     if on_spine:
         exit_report = fixed_leaf_exit(tm, node)
         if exit_report.exiting:
-            roots.add(fixed)
+            roots |= {fixed}
     return StructuralRootSet(
         node,
-        frozenset(roots),
+        roots,
         tuple(blocked),
         fixed,
         on_spine,

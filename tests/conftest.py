@@ -6,9 +6,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from rootlink import Annotation, RationalMatrix, TreeMatrix, build_matrix, kernels
-from rootlink.tree import DyadicTree, build_tree
+from rootlink import (
+    Annotation,
+    RationalMatrix,
+    StructureSets,
+    TreeMatrix,
+    build_matrix,
+    kernels,
+    validate_annotation,
+)
+from rootlink.tree import DyadicTree, TreeEdge, build_tree
 
 SIX_LEAF_CHILDREN = {
     "I": ("A", "B"),
@@ -104,6 +113,85 @@ def caterpillar(leaves: int, seed: int) -> TreeMatrix:
                 child_alpha = a + step()
                 values[child] = (child_alpha, max(child_alpha, b) + step())
     return build_matrix(tree, annotation_from(values))
+
+
+def path_test_sets(tree: DyadicTree, sets: StructureSets) -> tuple[dict, dict, dict]:
+    """Per-leaf reference for the root pass: one geodesic scan per (leaf, node).
+
+    Returns, per node, the leaves whose path up to it avoids ``gamma``, the
+    same for ``gamma_t``, and ``StructuralRootSet.blocked``: each leaf whose
+    path meets ``gamma``, in leaf order, with the first of those edges in
+    ``edge_key`` order, the fixed leaf of a spine node left out.
+    """
+    roots, roots_t, blocked = {}, {}, {}
+    for node in tree.preorder:
+        leaves = tree.leaves_below(node)
+        paths = {leaf: tree.geodesic_edges(leaf, node) for leaf in leaves}
+        roots[node] = frozenset(leaf for leaf, p in paths.items() if not p & sets.gamma)
+        roots_t[node] = frozenset(leaf for leaf, p in paths.items() if not p & sets.gamma_t)
+        exit_decided = leaves[-1] if tree.on_spine(node) else None
+        blocked[node] = tuple(
+            (leaf, min(paths[leaf] & sets.gamma, key=tree.edge_key))
+            for leaf in leaves
+            if leaf != exit_decided and leaf not in roots[node]
+        )
+    return roots, roots_t, blocked
+
+
+# -- Hypothesis strategy: adversarial shapes and values ------------------------
+
+_IDS = st.text(alphabet="abcxyzAB019_-+ ", min_size=1, max_size=4)
+_STEPS = st.one_of(
+    st.just(Fraction(0)),  # ties: lax equality cases and singular draws
+    st.integers(1, 4).map(Fraction),
+    st.tuples(st.integers(1, 9), st.sampled_from((2, 3, 4, 7))).map(
+        lambda p: Fraction(*p)
+    ),
+    st.integers(10**30, 10**40).map(Fraction),  # large numerators
+)
+
+
+@st.composite
+def annotated_trees(draw):
+    leaves = draw(st.integers(1, 12))
+    ids = draw(st.lists(_IDS, min_size=2 * leaves - 1, max_size=2 * leaves - 1, unique=True))
+    children: dict[str, tuple[str, str]] = {}
+    shape = draw(st.sampled_from(["left comb", "right comb", "split"]))
+    if shape != "split":  # caterpillars: the comb off the spine, or the spine
+        for k in range(leaves - 1):
+            comb = ids[k + 1] if k < leaves - 2 else ids[-1]
+            leaf = ids[leaves - 1 + k]
+            children[ids[k]] = (comb, leaf) if shape == "left comb" else (leaf, comb)
+    else:  # a random split, drawn iteratively
+        fresh = iter(ids[1:])
+        pending = [(ids[0], leaves)]
+        while pending:
+            node, size = pending.pop()
+            if size == 1:
+                continue
+            cut = draw(st.integers(1, size - 1))
+            kids = (next(fresh), next(fresh))
+            children[node] = kids
+            pending += [(kids[0], cut), (kids[1], size - cut)]
+    tree = build_tree(children, ids[0])
+    base = draw(_STEPS.filter(lambda x: x < 10))
+    alpha, beta = {tree.root: base}, {tree.root: base}
+    for node in tree.preorder:
+        for child in tree.children(node):
+            if tree.is_leaf(child):
+                alpha[child] = beta[child] = max(alpha[node], beta[node]) + draw(_STEPS)
+            else:
+                alpha[child] = alpha[node] + draw(_STEPS)
+                beta[child] = max(alpha[child], beta[node]) + draw(_STEPS)
+    for node in tree.spine():
+        beta[node] = alpha[node]
+    for node in tree.internal_nodes():
+        anchor = tree.spine_anchor(node)
+        if anchor != tree.root and not tree.on_spine(node):
+            alpha[node] = alpha[anchor]
+    annotation = Annotation(alpha, beta)
+    assert not validate_annotation(tree, annotation)
+    return build_matrix(tree, annotation)
 
 
 @pytest.fixture(scope="session")

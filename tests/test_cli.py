@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rootlink import parse_spec, validate_annotation
 from rootlink.cli import COUNTEREXAMPLE_FILE, main
@@ -233,6 +238,35 @@ def test_report_eta_flag_must_be_rational(capsys):
     assert err.value.code == 2
 
 
+def test_report_at_the_eta_budget(capsys):
+    from rootlink.specfile import MAX_VALUE_DIGITS
+
+    eta = "9" * MAX_VALUE_DIGITS
+    assert main(["report", str(SIX_LEAF_DOC), "--eta", eta, "--neumann", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["eta"] == eta
+    assert doc["neumann_gaps"] == [4e20, 4e20]
+    # A denominator at the budget passes the flag; this eta is then too small.
+    assert main(["report", str(SIX_LEAF_DOC), "--eta", "1/" + eta]) == 3
+
+
+@pytest.mark.parametrize(
+    "eta",
+    [
+        "1" + "0" * 20,  # 21-digit numerator
+        "1/1" + "0" * 20,  # 21-digit denominator
+        "1" + "0" * 320,  # a Neumann gap this large would overflow a float
+    ],
+)
+def test_report_eta_budget_exit_2(capsys, eta):
+    from rootlink.specfile import MAX_VALUE_DIGITS
+
+    with pytest.raises(SystemExit) as err:
+        main(["report", str(SIX_LEAF_DOC), "--eta", eta, "--neumann", "0"])
+    assert err.value.code == 2
+    assert f"at most {MAX_VALUE_DIGITS} digits" in capsys.readouterr().err
+
+
 def test_dot_stdout(capsys):
     assert main(["dot", str(SIX_LEAF_DOC)]) == 0
     out = capsys.readouterr().out
@@ -344,3 +378,70 @@ def test_console_script_installed():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["mu_bar"] == "1/4"
+
+
+# -- fuzzing: every input ends in a documented exit code ------------------------
+
+_VALUES = st.one_of(
+    st.integers(-3, 12),
+    st.fractions(0, 12, max_denominator=9).map(str),
+    st.integers(10**19, 10**21),  # around the digit budget
+    st.sampled_from([1.5, True, None, "x", "1/0", "-1/2", [], {}]),
+)
+_FLAG = st.sampled_from(["", "x", "1.5", "-1"])
+_ETAS = st.one_of(
+    st.fractions(0, 40, max_denominator=9).map(str),
+    st.integers(10**18, 10**22).map(str),  # around the digit budget
+    st.integers(10**300, 10**330).map(str),  # past the float range
+    _FLAG,
+)
+_NEUMANN = st.one_of(st.integers(-1, 3).map(str), st.just("51"), _FLAG)
+_MAX_LEAVES = st.one_of(st.integers(-1, 6).map(str), st.just("129"), _FLAG)
+
+
+@st.composite
+def cli_arguments(draw):
+    """A mutated six-leaf document and an argument list that reads it from stdin."""
+    doc = json.loads(SIX_LEAF_DOC.read_text())
+    for node in doc["nodes"]:
+        for key in ("alpha", "beta"):
+            if draw(st.integers(0, 9)) == 0:
+                node[key] = draw(_VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        del doc["nodes"][draw(st.integers(0, len(doc["nodes"]) - 1))]
+    command = draw(st.sampled_from(["report"] * 4 + ["validate", "dot", "random", "selftest"]))
+    argv = [command]
+    if command in ("report", "validate", "dot"):
+        argv.append("-")
+    if command == "report":
+        for flag, values in (("--eta", _ETAS), ("--neumann", _NEUMANN)):
+            if draw(st.booleans()):
+                argv += [flag, draw(values)]
+    if command in ("random", "selftest"):
+        argv += ["--max-leaves", draw(_MAX_LEAVES), "--seed", str(draw(st.integers(0, 9)))]
+    if command == "selftest":
+        argv += ["--cases", draw(st.sampled_from(["1", "2", "0", "x"]))]
+    return json.dumps(doc), argv
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,  # the same examples on every run of the suite
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(cli_arguments())
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path_factory, arguments):
+    text, argv = arguments
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        contextlib.chdir(tmp_path_factory.mktemp("fuzz")),  # a counterexample file lands here
+        mock.patch("sys.stdin", io.StringIO(text)),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag with 2
+            code = exc.code
+    assert code in range(5), (argv, err.getvalue())

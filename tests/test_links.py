@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,12 +19,10 @@ from rootlink import (
     link_oracle,
     link_structural,
     random_instance,
-    roots_structural,
-    roots_transpose,
     zero_pattern,
 )
 
-from conftest import caterpillar, instance
+from conftest import caterpillar, instance, path_test_sets
 
 SIX_LEAF_LINKS = {
     ("1", "2"),
@@ -74,48 +74,53 @@ def test_six_leaf_traces(six_tm, six_sets, row, col, rule, linked):
     assert trace.linked is linked
 
 
-def _path_side_roots(tm, sets):
-    """Per-node side roots from the per-leaf path tests of the roots module."""
-    tree = tm.tree
-    off_spine = [node for node in tree.preorder if not tree.on_spine(node)]
-    return (
-        {node: roots_structural(tm, sets, node).roots for node in off_spine},
-        {node: roots_transpose(tree, sets, node) for node in off_spine},
-    )
+def _check_grouped_verdicts(tm):
+    """Per-meet verdicts == per-pair verdicts; the links, or None when singular.
 
-
-def _check_grouped_verdicts(tm) -> bool:
-    """Per-meet verdicts == per-pair verdicts; False when the draw is singular."""
+    The side roots the links read are also compared with the per-leaf
+    path-test reference at every node.
+    """
     try:
         tm.matrix.inverse()
     except SingularMatrixError:
-        return False
+        return None
     sets = build_structure_sets(tm.tree, tm.annotation)
-    side_roots = _path_side_roots(tm, sets)
-    assert links_mod._side_roots(tm.tree, sets) == side_roots
+    assert (sets.roots, sets.roots_t) == path_test_sets(tm.tree, sets)[:2]
     report = link_matrix(tm, sets)
     for row in tm.leaves:
         for col in tm.leaves:
             if row != col:
-                trace = link_structural(tm, sets, row, col, side_roots)
+                trace = link_structural(tm, sets, row, col)
                 assert ((row, col) in report.links) == trace.linked, (row, col)
-    return True
+    return report.links
+
+
+# sha256 of "seed row col" lines, links in row-major leaf order, over the
+# nonsingular draws below: any changed link verdict on this corpus moves it.
+CORPUS_LINKS_DIGEST = "6c9f7b8c56f3cdb67cb2cb7d834013c58de5901df7cb714e3454bf32f9023ff4"
 
 
 def test_grouped_verdicts_match_per_pair_on_random_draws():
     checked = 0
+    digest = hashlib.sha256()
     for seed in range(1000):
         strictness = "strict" if seed % 2 else "lax"
-        checked += _check_grouped_verdicts(
-            build_matrix(*random_instance(seed, 14, strictness))
-        )
+        tm = build_matrix(*random_instance(seed, 14, strictness))
+        links = _check_grouped_verdicts(tm)
+        if links is None:
+            continue
+        checked += 1
+        index = tm.tree.leaf_index
+        for row, col in sorted(links, key=lambda p: (index(p[0]), index(p[1]))):
+            digest.update(f"{seed} {row} {col}\n".encode())
     assert 900 < checked < 1000  # lax ties make some draws singular
+    assert digest.hexdigest() == CORPUS_LINKS_DIGEST
 
 
 @pytest.mark.parametrize("leaves", [3, 9, 17])
 def test_grouped_verdicts_match_per_pair_on_caterpillars(leaves):
     for seed in range(3):
-        assert _check_grouped_verdicts(caterpillar(leaves, seed))
+        assert _check_grouped_verdicts(caterpillar(leaves, seed)) is not None
 
 
 def test_link_structural_runs_only_on_mismatches(six_tm, monkeypatch):
@@ -134,14 +139,17 @@ def test_link_structural_runs_only_on_mismatches(six_tm, monkeypatch):
 
 
 def test_wrong_side_roots_raise_with_the_pair_trace(six_tm, monkeypatch):
-    real = links_mod._side_roots
+    import rootlink.report as report_mod
 
-    def wrong(tree, sets):
-        roots, roots_t = real(tree, sets)
-        return roots, {**roots_t, "2": frozenset()}  # (1, 2) can no longer link
+    real = report_mod.build_structure_sets
 
-    monkeypatch.setattr(links_mod, "_side_roots", wrong)
-    report = link_matrix(six_tm)
+    def wrong(tree, annotation):
+        sets = real(tree, annotation)
+        # (1, 2) can no longer link
+        return replace(sets, roots_t={**sets.roots_t, "2": frozenset()})
+
+    monkeypatch.setattr(report_mod, "build_structure_sets", wrong)
+    report = link_matrix(six_tm, wrong(six_tm.tree, six_tm.annotation))
     assert [(t.row, t.col) for t in report.mismatches] == [("1", "2")]
     with pytest.raises(TheoremMismatchError) as err:
         build_report(six_tm)

@@ -5,11 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from rootlink import (
     Annotation,
     RationalMatrix,
     RestrictionCache,
+    SingularMatrixError,
     TreeMatrix,
     build_structure_sets,
     diagonal_mass_bounds,
@@ -20,8 +22,14 @@ from rootlink import (
     roots_transpose,
 )
 from rootlink.tree import TreeEdge, build_tree
+from rootlink.treesolve import tree_inverse
 
-from conftest import instance
+from conftest import (
+    annotated_trees,
+    caterpillar,
+    instance,
+    path_test_sets,
+)
 
 
 def edges(*pairs: tuple[str, str]) -> frozenset[TreeEdge]:
@@ -94,6 +102,53 @@ def test_transpose_roots_per_restriction(six_tm, six_tree, six_sets, node, expec
     assert frozenset(
         leaf for leaf, v in zip(sub.leaves, nu) if v > 0
     ) == frozenset(expected)
+
+
+def _matches_path_tests(tm) -> None:
+    """Every node's sets and blocking edges == the per-leaf geodesic reference.
+
+    A spine restriction of a singular draw has no exit verdict, so only its
+    sets are compared there.
+    """
+    tree = tm.tree
+    sets = build_structure_sets(tree, tm.annotation)
+    roots, roots_t, blocked = path_test_sets(tree, sets)
+    assert (sets.roots, sets.roots_t) == (roots, roots_t)
+    for node in tree.preorder:
+        assert roots_transpose(tree, sets, node) == roots_t[node]
+        try:
+            verdict = roots_structural(tm, sets, node)
+        except SingularMatrixError:
+            assert tree.on_spine(node)
+            continue
+        assert verdict.blocked == blocked[node]
+        fixed = verdict.fixed_leaf
+        if verdict.fixed_decided_by_exit:
+            assert verdict.roots - {fixed} == roots[node] - {fixed}
+            assert (fixed in verdict.roots) == verdict.exit.exiting
+        else:
+            assert verdict.roots == roots[node]
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,  # the same examples on every run of the suite
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(annotated_trees())
+def test_structure_sets_match_path_tests_property(tm):
+    _matches_path_tests(tm)
+
+
+@pytest.mark.parametrize("leaves", [3, 4, 5, 9, 17, 33, 64, 201])
+def test_structure_sets_match_path_tests_on_caterpillars(leaves):
+    tm = caterpillar(leaves, leaves)
+    # The root's exit identity reads the certified tree inverse, so no
+    # elimination runs at 201 leaves; the only other spine node is a leaf.
+    denom, nums = tree_inverse(tm)
+    inverse = RationalMatrix.from_integer_form(denom, nums)
+    _matches_path_tests(TreeMatrix(tm.tree, tm.annotation, tm.matrix.with_inverse(inverse)))
 
 
 def test_single_leaf_exit():

@@ -1,0 +1,36 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+``perfbench/spans.py`` looks each traced function up by module and name when
+a ``--trace 1`` run starts.  A rename in ``src/`` would otherwise surface only
+there; this test makes it fail here.  The tracer's source is read, never
+written or imported as a package module.
+"""
+
+from __future__ import annotations
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans() -> types.ModuleType:
+    module = types.ModuleType("perfbench_spans")
+    module.__file__ = str(SPANS)
+    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), module.__dict__)
+    return module
+
+
+SPANS_MODULE = _load_spans()
+TRACED = SPANS_MODULE.SPANNED + SPANS_MODULE.COUNTED
+
+
+@pytest.mark.parametrize("module_name,qualname", TRACED)
+def test_traced_name_resolves(module_name, qualname):
+    importlib.import_module(f"rootlink.{module_name}")
+    _, _, function = SPANS_MODULE._resolve(module_name, qualname)
+    assert callable(function)
+    assert function.__name__ == qualname.rpartition(".")[2]
