@@ -36,6 +36,7 @@ from .inverse import (
     RestrictionCache,
     SchurBlocks,
     TransitionKernel,
+    diagonal_mass_bounds,
     neumann_check,
     potentials,
     schur_blocks,
@@ -47,7 +48,6 @@ from .links import (
     LinkReport,
     LinkTrace,
     link_matrix,
-    link_oracle,
     link_structural,
     zero_pattern,
 )
@@ -59,7 +59,6 @@ from .roots import (
     StructuralRootSet,
     StructureSets,
     build_structure_sets,
-    diagonal_mass_bounds,
     dominance_screens,
     fixed_leaf_exit,
     roots_structural,
@@ -92,6 +91,7 @@ __all__ = [
     "potentials",
     "PotentialReport",
     "RestrictionCache",
+    "diagonal_mass_bounds",
     "SchurBlocks",
     "schur_blocks",
     "verify_mass_recursion",
@@ -112,10 +112,8 @@ __all__ = [
     "roots_structural",
     "DominanceScreens",
     "dominance_screens",
-    "diagonal_mass_bounds",
     # links
     "LinkTrace",
-    "link_oracle",
     "link_structural",
     "LinkReport",
     "link_matrix",

@@ -7,12 +7,13 @@ self-test compares it with this one.)  A matrix keeps its inverse and a
 :class:`~rootlink.build.TreeMatrix` keeps its restrictions, so every check
 on one instance reads the same eliminations; :class:`RestrictionCache` is
 the per-node view of them (restriction, inverse, potentials, mass) that
-the self-test reads.  The closed-form block decomposition at the root
-split, assembled from plain Fraction rows, is cross-checked against the
-elimination inverse.  The transition kernel ``P = I - (1/eta) * inverse``
-and its Neumann partial sums round out the probabilistic reading of the
-inverse; the partial sums are checked on integer forms, over one positive
-denominator per step.
+the self-test reads.  The diagonal-times-mass bounds of an off-spine
+restriction read its elimination inverse.  The closed-form block
+decomposition at the root split, assembled from plain Fraction rows, is
+cross-checked against the elimination inverse.  The transition kernel
+``P = I - (1/eta) * inverse`` and its Neumann partial sums round out the
+probabilistic reading of the inverse; the partial sums are checked on
+integer forms, over one positive denominator per step.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ __all__ = [
     "PotentialReport",
     "potentials",
     "RestrictionCache",
+    "MassBoundReport",
+    "diagonal_mass_bounds",
     "SchurBlocks",
     "schur_blocks",
     "MassRecursionReport",
@@ -100,6 +103,49 @@ class RestrictionCache:
 
     def mass(self, node: str) -> Fraction:
         return self.potential(node).mu_bar
+
+
+@dataclass(frozen=True)
+class MassBoundReport:
+    """Diagonal-times-mass lower bounds for an off-spine restriction."""
+
+    mass: Fraction
+    products: tuple[Fraction, ...]  # diagonal entry times total mass, per leaf
+    max_diag: Fraction
+    tight: bool  # max_diag * mass == 1
+    constant_column_at_max: bool
+    ok: bool
+    messages: tuple[str, ...]
+
+
+def diagonal_mass_bounds(m: RationalMatrix) -> MassBoundReport:
+    """Check ``diag * mass >= 1`` per entry, with tightness iff a constant column.
+
+    The mass is the sum of the entries of ``m``'s exact inverse (which ``m``
+    keeps once inverted).  Applies to restrictions at off-spine nodes (and
+    to the minus side of the root split); the full matrix violates these
+    bounds in general because of its constant fixed-leaf row.
+    """
+    mass = m.inverse().total()
+    diag = m.diagonal()
+    products = tuple(d * mass for d in diag)
+    max_diag = max(diag)
+    messages = []
+    for i, prod in enumerate(products):
+        if prod < 1:
+            messages.append(f"diagonal {i} times mass {prod} < 1")
+    tight = max_diag * mass == 1
+    constant = any(
+        all(m[i, j] == max_diag for i in range(m.nrows)) for j in range(m.ncols)
+    )
+    if tight != constant:
+        messages.append(
+            f"tightness mismatch: max_diag*mass == 1 is {tight} but "
+            f"constant max column present is {constant}"
+        )
+    return MassBoundReport(
+        mass, products, max_diag, tight, constant, not messages, tuple(messages)
+    )
 
 
 @dataclass(frozen=True)

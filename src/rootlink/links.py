@@ -16,31 +16,29 @@ For leaves ``i != j`` meeting at node ``L``, whether the inverse entry
   side), and finally must strictly exceed the spine anchor's alpha.
 
 The side roots are the per-node sets ``roots`` and ``roots_t`` of
-:class:`~rootlink.roots.StructureSets`, computed once per tree.  Every
-verdict carries a trace naming the rule that decided it; the oracle
-(the exact inverse) adjudicates disagreements.  Apart from side-root
-membership, a verdict depends only on the meet and the direction, so
-:func:`link_matrix` decides whole (meet, direction) blocks at once and
-traces only the pairs that disagree with the oracle.
+:class:`~rootlink.roots.StructureSets`, computed once per tree, so no
+verdict reads an inverse.  Every verdict carries a trace naming the rule
+that decided it.  Apart from side-root membership, a verdict depends only
+on the meet and the direction, so :func:`link_matrix` decides whole
+(meet, direction) blocks at once, compares them with the negative entries
+of the exact inverse its caller passes in, and traces only the pairs that
+disagree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Callable, Optional
 
 from .build import Annotation, TreeMatrix, require_valid
 from .matrix import RationalMatrix
-from .roots import StructureSets, build_structure_sets
+from .roots import StructureSets
 # Unused here; perfbench/test_perfbench.py checks that its tracer rebinds
 # ``links.roots_structural`` and fails without this import.
 from .roots import roots_structural  # noqa: F401
 from .tree import DyadicTree, TreeEdge
 
 __all__ = [
-    "link_oracle",
     "LinkTrace",
     "link_structural",
     "LinkReport",
@@ -48,13 +46,6 @@ __all__ = [
     "BlockPattern",
     "zero_pattern",
 ]
-
-
-def link_oracle(minv: RationalMatrix, i: int, j: int) -> bool:
-    """Ground truth: is the inverse entry at positions (i, j) negative?"""
-    if i == j:
-        raise ValueError("links are defined for distinct leaves only")
-    return minv[i, j] < 0
 
 
 @dataclass(frozen=True)
@@ -190,27 +181,10 @@ class LinkReport:
     links: frozenset[tuple[str, str]]
     oracle_links: frozenset[tuple[str, str]]
     mismatches: tuple[LinkTrace, ...]  # in row-major leaf order
-    _trace_all: Callable[[], tuple[LinkTrace, ...]] = field(
-        repr=False, compare=False
-    )
 
     @property
     def agrees(self) -> bool:
         return not self.mismatches
-
-    @cached_property
-    def traces(self) -> tuple[LinkTrace, ...]:
-        """Every ordered pair's trace in row-major leaf order, built on first read."""
-        return self._trace_all()
-
-
-def _all_traces(tm: TreeMatrix, sets: StructureSets) -> tuple[LinkTrace, ...]:
-    return tuple(
-        link_structural(tm, sets, row, col)
-        for row in tm.leaves
-        for col in tm.leaves
-        if row != col
-    )
 
 
 def _linked_block(
@@ -243,21 +217,21 @@ def _linked_block(
     return (rows, cols) if ok else (none, none)
 
 
-def link_matrix(tm: TreeMatrix, sets: Optional[StructureSets] = None) -> LinkReport:
-    """Evaluate every ordered leaf pair structurally and against the oracle.
+def link_matrix(
+    tm: TreeMatrix, sets: StructureSets, minv: RationalMatrix
+) -> LinkReport:
+    """Evaluate every ordered leaf pair structurally and against ``minv``.
 
     Off the spine, a pair's verdict depends only on its meet, its direction
     and side-root membership, so the verdicts come per (meet, direction)
     block: the side roots are read from ``sets``, and each block needs one
-    climb.  The linked pairs are compared with the
-    negative entries of the exact inverse that ``tm.matrix`` keeps;
-    :func:`link_structural` runs only on the pairs that disagree, and
-    :attr:`LinkReport.traces` builds all traces on first read.
+    climb.  The linked pairs are compared with the negative entries of
+    ``minv``, the exact inverse of ``tm.matrix``; :func:`link_structural`
+    runs only on the pairs that disagree.
     """
-    sets = sets or build_structure_sets(tm.tree, tm.annotation)
     tree = tm.tree
     leaves = tm.leaves
-    _, nums = tm.matrix.inverse().integer_form()
+    _, nums = minv.integer_form()
     links = []
     oracle_links = []
     bad = []
@@ -286,12 +260,7 @@ def link_matrix(tm: TreeMatrix, sets: Optional[StructureSets] = None) -> LinkRep
         link_structural(tm, sets, leaves[i], leaves[j])
         for i, j in sorted(bad)
     )
-    return LinkReport(
-        frozenset(links),
-        frozenset(oracle_links),
-        mismatches,
-        partial(_all_traces, tm, sets),
-    )
+    return LinkReport(frozenset(links), frozenset(oracle_links), mismatches)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,10 @@ entrywise (one LCM of the denominators, computed once and kept), and its
 row and column sums add those integers instead of fractions.
 :meth:`RationalMatrix.inverse` hands ``N`` to ``kernels.inverse_scaled``
 once per matrix and keeps the result, which keeps the integer form its
-elimination produced; :meth:`RationalMatrix.with_inverse` makes a copy
-that keeps an inverse certified by other means instead.  The kernel is a
-fraction-free (Bareiss) LU elimination of the rows below each pivot, then
-one back substitution per column of the carried identity, which returns
-``det`` and the adjugate exactly.
+elimination produced.  The kernel is a fraction-free (Bareiss) LU
+elimination of the rows below each pivot, then one back substitution per
+column of the carried identity, which returns ``det`` and the adjugate
+exactly.
 """
 
 from __future__ import annotations
@@ -89,18 +88,6 @@ class RationalMatrix:
         return cls._of_fractions(
             ((Fraction(x, denom) for x in row) for row in ints), (denom, ints)
         )
-
-    def with_inverse(self, inverse: "RationalMatrix") -> "RationalMatrix":
-        """This matrix again, keeping ``inverse`` as its inverse.
-
-        For an inverse established without elimination and checked by the
-        caller, as :func:`~rootlink.report.build_report` checks its tree
-        inverse.  The copy shares this matrix's rows and integer form, and
-        its :meth:`inverse` returns ``inverse`` without running the kernel.
-        """
-        out = RationalMatrix._of_fractions(self._rows, self._int)
-        out._inv = inverse
-        return out
 
     # -- access ------------------------------------------------------------
 

@@ -6,11 +6,11 @@ Neumann gap diagnostics).  Rendering is deterministic: the same instance
 and flags always produce byte-identical output.  The report takes its
 inverse from the tree in O(n^2) (:func:`~rootlink.treesolve.tree_inverse`),
 not from elimination, and certifies it with the exact product check
-:func:`~rootlink.treesolve.certify_inverse`, also O(n^2).  Every check then
-reads that one certified inverse: structural verdicts, the tree-recursion
-masses behind the exit inequality and the transition kernel are
-cross-checked against it while the report is built, and any disagreement,
-a failed certificate included, raises
+:func:`~rootlink.treesolve.certify_inverse`, also O(n^2).  The structural
+verdicts read no inverse.  While the report is built, they, the
+tree-recursion masses behind the exit inequality and the transition kernel
+are checked against that one certified inverse.  Any disagreement, a
+failed certificate included, raises
 :class:`~rootlink.errors.TheoremMismatchError` carrying a counterexample
 dump instead of emitting a wrong document.
 """
@@ -83,21 +83,19 @@ def build_report(
                 f"the inverse below is N with U^-1 = N / {denom}",
             )
         )
+    # The structural verdicts below read no inverse; each is compared with this one.
     minv = RationalMatrix.from_integer_form(denom, nums)
-    # Every check below reads this inverse, through a copy of the matrix
-    # that keeps it; ``tm`` and its kept inverse, if any, stay as they were.
-    tm = TreeMatrix(tree, tm.annotation, tm.matrix.with_inverse(minv))
     pot = potentials(minv)
     sets = build_structure_sets(tree, tm.annotation)
     structural = roots_structural(tm, sets)
     exit_report = structural.exit
     assert exit_report is not None  # the root restriction is the matrix itself
-    if not exit_report.identity_ok:
+    if pot.mu[-1] != exit_report.lhs - exit_report.rhs:
         raise TheoremMismatchError(
             _counterexample(
                 tm,
                 minv.rows,
-                f"fixed-leaf row sum {exit_report.last_row_sum} != "
+                f"fixed-leaf row sum {pot.mu[-1]} != "
                 f"lhs - rhs = {exit_report.lhs} - {exit_report.rhs}",
             )
         )
@@ -128,7 +126,7 @@ def build_report(
             )
         )
 
-    link_report = link_matrix(tm, sets)
+    link_report = link_matrix(tm, sets, minv)
     if not link_report.agrees:
         bad = link_report.mismatches[0]
         entry = minv[tree.leaf_index(bad.row), tree.leaf_index(bad.col)]

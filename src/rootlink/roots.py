@@ -12,12 +12,10 @@ whose verdict comes from an exact scalar inequality over the spine masses
 :func:`build_structure_sets` runs that path test once for every node, in
 one bottom-up pass, and :func:`roots_structural`, :func:`roots_transpose`
 and the link rules of :mod:`rootlink.links` read its sets.
-Only the oracle sides, :attr:`ExitReport.last_row_sum` and
-:func:`diagonal_mass_bounds`, read an inverse: the one the restriction's
-matrix keeps, shared with every other caller.  That is the elimination
-inverse, except inside a report, whose matrix keeps the certified tree
-inverse.  All structural verdicts are cross-checked against the
-elimination inverse by the self-test suites.
+Nothing here reads an inverse.  Callers that hold one compare the
+verdicts with it (a report with its certified tree inverse, the self-test
+suites with the elimination inverse); the fixed leaf's row sum there must
+equal ``ExitReport.lhs - ExitReport.rhs`` exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from typing import Optional
 
 from .build import Annotation, TreeMatrix, require_valid
 from .errors import TheoremMismatchError, UnknownNodeError
-from .matrix import RationalMatrix
 from .tree import DyadicTree, TreeEdge
 from .treesolve import tree_pass
 
@@ -43,8 +40,6 @@ __all__ = [
     "roots_structural",
     "DominanceScreens",
     "dominance_screens",
-    "MassBoundReport",
-    "diagonal_mass_bounds",
 ]
 
 
@@ -157,12 +152,6 @@ class ExitReport:
     terms: tuple[tuple[str, Fraction], ...]  # per-spine-node contributions
     row_dominant: bool  # lhs >= rhs
     exiting: bool  # lhs > rhs
-    last_row_sum: Fraction  # oracle row sum at the fixed leaf
-
-    @property
-    def identity_ok(self) -> bool:
-        """Exact identity: the fixed leaf's inverse row sum is lhs - rhs."""
-        return self.last_row_sum == self.lhs - self.rhs
 
 
 def fixed_leaf_exit(tm: TreeMatrix, node: Optional[str] = None) -> ExitReport:
@@ -172,20 +161,17 @@ def fixed_leaf_exit(tm: TreeMatrix, node: Optional[str] = None) -> ExitReport:
     right side sums, over internal spine nodes of the restriction, the
     minus-side mass scaled by ``(1 - alpha*plus_mass)/(1 - alpha*minus_mass)``.
     Masses come from the tree recursion (:func:`tree_masses`), with no
-    inversion; only ``last_row_sum`` is read from the inverse the
-    restriction's matrix keeps (the elimination inverse, or in a report the
-    certified tree inverse), which makes :attr:`ExitReport.identity_ok` a
-    check of the recursion against the oracle.  Valid for restrictions at spine
-    nodes of the original tree (where the fixed leaf's row is constant);
-    elsewhere the inequality has no predictive content.
+    inversion.  ``lhs - rhs`` is exactly the fixed leaf's row sum in the
+    restriction's inverse, which a caller holding that inverse can check.
+    Valid for restrictions at spine nodes of the original tree (where the
+    fixed leaf's row is constant); elsewhere the inequality has no
+    predictive content.
     """
     tree = tm.tree
     node = tree.root if node is None else node
     if node not in tree:
         raise UnknownNodeError(node)
     masses = tree_masses(tm, node)
-    scale, nums = tm.restrict(node).matrix.inverse().integer_form()
-    last_row_sum = Fraction(sum(nums[-1]), scale)
     fixed = tree.leaves_below(node)[-1]
     lhs = masses[fixed]  # 1/U[n,n]; the recursion raised on a zero
     rhs = Fraction(0)
@@ -202,16 +188,7 @@ def fixed_leaf_exit(tm: TreeMatrix, node: Optional[str] = None) -> ExitReport:
         term = mass_minus * (1 - alpha * masses[plus]) / denom
         terms.append((spine_node, term))
         rhs += term
-    return ExitReport(
-        node,
-        fixed,
-        lhs,
-        rhs,
-        tuple(terms),
-        lhs >= rhs,
-        lhs > rhs,
-        last_row_sum,
-    )
+    return ExitReport(node, fixed, lhs, rhs, tuple(terms), lhs >= rhs, lhs > rhs)
 
 
 @dataclass(frozen=True)
@@ -304,46 +281,3 @@ def dominance_screens(tm: TreeMatrix) -> DominanceScreens:
     sums = tm.matrix.row_sums()
     minimal = all(sums[-1] <= s for s in sums[:-1])
     return DominanceScreens(small, weak, minimal)
-
-
-@dataclass(frozen=True)
-class MassBoundReport:
-    """Diagonal-times-mass lower bounds for an off-spine restriction."""
-
-    mass: Fraction
-    products: tuple[Fraction, ...]  # diagonal entry times total mass, per leaf
-    max_diag: Fraction
-    tight: bool  # max_diag * mass == 1
-    constant_column_at_max: bool
-    ok: bool
-    messages: tuple[str, ...]
-
-
-def diagonal_mass_bounds(m: RationalMatrix) -> MassBoundReport:
-    """Check ``diag * mass >= 1`` per entry, with tightness iff a constant column.
-
-    The mass is the sum of the entries of ``m``'s exact inverse (which ``m``
-    keeps once inverted).  Applies to restrictions at off-spine nodes (and
-    to the minus side of the root split); the full matrix violates these
-    bounds in general because of its constant fixed-leaf row.
-    """
-    mass = m.inverse().total()
-    diag = m.diagonal()
-    products = tuple(d * mass for d in diag)
-    max_diag = max(diag)
-    messages = []
-    for i, prod in enumerate(products):
-        if prod < 1:
-            messages.append(f"diagonal {i} times mass {prod} < 1")
-    tight = max_diag * mass == 1
-    constant = any(
-        all(m[i, j] == max_diag for i in range(m.nrows)) for j in range(m.ncols)
-    )
-    if tight != constant:
-        messages.append(
-            f"tightness mismatch: max_diag*mass == 1 is {tight} but "
-            f"constant max column present is {constant}"
-        )
-    return MassBoundReport(
-        mass, products, max_diag, tight, constant, not messages, tuple(messages)
-    )

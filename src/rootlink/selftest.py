@@ -33,6 +33,7 @@ from .build import (
 from .errors import SingularMatrixError
 from .inverse import (
     RestrictionCache,
+    diagonal_mass_bounds,
     neumann_check,
     schur_blocks,
     transition_kernel,
@@ -41,7 +42,6 @@ from .inverse import (
 from .links import link_matrix, zero_pattern
 from .report import build_report, render_report
 from .roots import (
-    diagonal_mass_bounds,
     dominance_screens,
     fixed_leaf_exit,
     roots_structural,
@@ -269,10 +269,11 @@ def _suite_mass_recursion_per_node(ctx: RestrictionCache) -> list[str]:
 
 def _suite_exit_identity(ctx: RestrictionCache) -> list[str]:
     report = fixed_leaf_exit(ctx.tm)
-    if not report.identity_ok:
+    row_sum = ctx.potential(ctx.tm.tree.root).mu[-1]
+    if row_sum != report.lhs - report.rhs:
         return [
-            f"fixed-leaf row sum {report.last_row_sum} != "
-            f"{report.lhs} - {report.rhs}"
+            f"fixed-leaf row sum {row_sum} != "
+            f"lhs - rhs = {report.lhs} - {report.rhs}"
         ]
     return []
 
@@ -352,7 +353,7 @@ def _suite_mass_bounds(ctx: RestrictionCache) -> list[str]:
 def _suite_links_agree(ctx: RestrictionCache) -> list[str]:
     tree = ctx.tm.tree
     minv = ctx.inverse(tree.root)
-    report = link_matrix(ctx.tm, ctx.sets)
+    report = link_matrix(ctx.tm, ctx.sets, minv)
     return [
         f"({t.row},{t.col}) structural {t.linked} vs entry {minv[tree.leaf_index(t.row), tree.leaf_index(t.col)]}: "
         + "; ".join(t.steps)

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from rootlink import (
@@ -18,6 +19,16 @@ from rootlink import (
     validate_annotation,
 )
 from rootlink.tree import DyadicTree, TreeEdge, build_tree
+
+# Every property test draws the same examples on every run of the suite and
+# states only its own ``max_examples``.
+settings.register_profile(
+    "rootlink",
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+settings.load_profile("rootlink")
 
 SIX_LEAF_CHILDREN = {
     "I": ("A", "B"),

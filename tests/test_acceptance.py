@@ -130,7 +130,11 @@ def test_criterion_3_exit_identity(six_tm, six_inverse, corpus, announce):
         and report.rhs == Fraction(7, 8)
         and report.lhs - report.rhs == Fraction(-5, 8) == sum(six_inverse.rows[-1])
     )
-    corpus_bad = sum(1 for tm, _ in corpus if not fixed_leaf_exit(tm).identity_ok)
+    corpus_bad = 0
+    for tm, minv in corpus:  # the Bareiss fixed-leaf row sum is lhs - rhs
+        exit_report = fixed_leaf_exit(tm)
+        if potentials(minv).mu[-1] != exit_report.lhs - exit_report.rhs:
+            corpus_bad += 1
     ok = sample_ok and corpus_bad == 0
     announce(
         "3",
@@ -144,7 +148,7 @@ def test_criterion_4_link_equivalence(corpus, announce):
     start = time.perf_counter()
     disagreements = []
     for tm, minv in corpus:
-        report = link_matrix(tm)
+        report = link_matrix(tm, build_structure_sets(tm.tree, tm.annotation), minv)
         if not report.agrees:
             disagreements.append((tm, report.mismatches))
     elapsed = time.perf_counter() - start

@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootlink import parse_spec, validate_annotation
@@ -232,6 +232,24 @@ def test_report_kernel_value_error_exit_4(capsys, monkeypatch):
     assert "off-diagonal of the kernel is negative" in captured.err
 
 
+def test_report_failed_certificate_exit_4(capsys, monkeypatch):
+    import rootlink.report as report_mod
+
+    real = report_mod.tree_inverse
+
+    def off_by_one(tm):
+        denom, nums = real(tm)
+        nums[0][0] += 1  # 32 -> 33: the first product entry is no longer L * d
+        return denom, nums
+
+    monkeypatch.setattr(report_mod, "tree_inverse", off_by_one)
+    assert main(["report", str(SIX_LEAF_DOC)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tree inverse fails its certificate" in captured.err
+    assert "(U @ N)[1][1] != L * d" in captured.err
+
+
 def test_report_eta_flag_must_be_rational(capsys):
     with pytest.raises(SystemExit) as err:
         main(["report", str(SIX_LEAF_DOC), "--eta", "1.5"])
@@ -424,12 +442,7 @@ def cli_arguments(draw):
     return json.dumps(doc), argv
 
 
-@settings(
-    max_examples=80,
-    deadline=None,
-    derandomize=True,  # the same examples on every run of the suite
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=80)
 @given(cli_arguments())
 def test_cli_fuzz_exits_with_a_documented_code(tmp_path_factory, arguments):
     text, argv = arguments

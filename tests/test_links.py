@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import rootlink.links as links_mod
 from rootlink import (
@@ -15,14 +16,15 @@ from rootlink import (
     build_matrix,
     build_report,
     build_structure_sets,
+    format_spec,
     link_matrix,
-    link_oracle,
     link_structural,
+    parse_spec,
     random_instance,
     zero_pattern,
 )
 
-from conftest import caterpillar, instance, path_test_sets
+from conftest import annotated_trees, caterpillar, instance, path_test_sets
 
 SIX_LEAF_LINKS = {
     ("1", "2"),
@@ -42,17 +44,29 @@ def six_sets(six_tree, six_annotation):
     return build_structure_sets(six_tree, six_annotation)
 
 
-def test_link_oracle_reads_sign(six_inverse):
-    assert link_oracle(six_inverse, 0, 1)
-    assert not link_oracle(six_inverse, 0, 2)
-    assert not link_oracle(six_inverse, 1, 5)  # exact zero entry
+def links_of(tm):
+    """``link_matrix`` against the elimination inverse, with fresh sets."""
+    sets = build_structure_sets(tm.tree, tm.annotation)
+    return link_matrix(tm, sets, tm.matrix.inverse())
 
 
-def test_six_leaf_links(six_tm):
-    report = link_matrix(six_tm)
+def all_traces(tm, sets):
+    """Every ordered pair's trace in row-major leaf order."""
+    return [
+        links_mod.link_structural(tm, sets, row, col)
+        for row in tm.leaves
+        for col in tm.leaves
+        if row != col
+    ]
+
+
+def test_six_leaf_links(six_tm, six_sets):
+    report = links_of(six_tm)
     assert report.agrees
     assert report.links == report.oracle_links == frozenset(SIX_LEAF_LINKS)
-    assert len(report.traces) == 30  # all ordered pairs
+    traces = all_traces(six_tm, six_sets)
+    assert len(traces) == 30  # all ordered pairs
+    assert {(t.row, t.col) for t in traces if t.linked} == SIX_LEAF_LINKS
 
 
 @pytest.mark.parametrize(
@@ -86,7 +100,7 @@ def _check_grouped_verdicts(tm):
         return None
     sets = build_structure_sets(tm.tree, tm.annotation)
     assert (sets.roots, sets.roots_t) == path_test_sets(tm.tree, sets)[:2]
-    report = link_matrix(tm, sets)
+    report = link_matrix(tm, sets, tm.matrix.inverse())
     for row in tm.leaves:
         for col in tm.leaves:
             if row != col:
@@ -123,7 +137,7 @@ def test_grouped_verdicts_match_per_pair_on_caterpillars(leaves):
         assert _check_grouped_verdicts(caterpillar(leaves, seed)) is not None
 
 
-def test_link_structural_runs_only_on_mismatches(six_tm, monkeypatch):
+def test_link_structural_runs_only_on_mismatches(six_tm, six_sets, monkeypatch):
     calls = []
     real = links_mod.link_structural
 
@@ -132,10 +146,11 @@ def test_link_structural_runs_only_on_mismatches(six_tm, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(links_mod, "link_structural", counted)
-    report = link_matrix(six_tm)
-    assert report.agrees and calls == []
-    assert len(report.traces) == 30 and len(calls) == 30  # traces on first read
-    assert report.traces is report.traces and len(calls) == 30
+    assert links_of(six_tm).agrees and calls == []
+    wrong = replace(six_sets, roots_t={**six_sets.roots_t, "2": frozenset()})
+    report = link_matrix(six_tm, wrong, six_tm.matrix.inverse())
+    assert calls == [("1", "2")] == [(t.row, t.col) for t in report.mismatches]
+    assert len(all_traces(six_tm, six_sets)) == 30 and len(calls) == 31
 
 
 def test_wrong_side_roots_raise_with_the_pair_trace(six_tm, monkeypatch):
@@ -149,7 +164,9 @@ def test_wrong_side_roots_raise_with_the_pair_trace(six_tm, monkeypatch):
         return replace(sets, roots_t={**sets.roots_t, "2": frozenset()})
 
     monkeypatch.setattr(report_mod, "build_structure_sets", wrong)
-    report = link_matrix(six_tm, wrong(six_tm.tree, six_tm.annotation))
+    report = link_matrix(
+        six_tm, wrong(six_tm.tree, six_tm.annotation), six_tm.matrix.inverse()
+    )
     assert [(t.row, t.col) for t in report.mismatches] == [("1", "2")]
     with pytest.raises(TheoremMismatchError) as err:
         build_report(six_tm)
@@ -174,7 +191,7 @@ def test_three_leaf_strict_meet_links():
     )
     minv = tm.matrix.inverse()
     assert minv[0, 1] == Fraction(-1, 7)
-    assert link_matrix(tm).agrees
+    assert links_of(tm).agrees
 
 
 def test_three_leaf_tie_cancels():
@@ -187,8 +204,7 @@ def test_three_leaf_tie_cancels():
     )
     minv = tm.matrix.inverse()
     assert minv[0, 1] == 0
-    report = link_matrix(tm)
-    assert report.agrees
+    assert links_of(tm).agrees
     trace = link_structural(tm, build_structure_sets(tm.tree, tm.annotation), "1", "2")
     assert trace.rule == "(ii.c)" and not trace.linked
 
@@ -209,7 +225,7 @@ def test_four_leaf_tie_blocked_by_opposite_side():
     # leaf 3 on the opposite side: the contribution cancels exactly.
     tm = instance(FOUR_LEAF_CHILDREN, "I", {**FOUR_LEAF_BASE, "3": (3, 3)})
     assert tm.matrix.inverse()[0, 1] == 0
-    assert link_matrix(tm).agrees
+    assert links_of(tm).agrees
     trace = link_structural(tm, build_structure_sets(tm.tree, tm.annotation), "1", "2")
     assert trace.rule == "(ii.b)" and not trace.linked
     assert any("tie at t" in step for step in trace.steps)
@@ -220,7 +236,7 @@ def test_four_leaf_tie_survives():
     # stays linked and the entry is strictly negative.
     tm = instance(FOUR_LEAF_CHILDREN, "I", {**FOUR_LEAF_BASE, "3": (4, 4)})
     assert tm.matrix.inverse()[0, 1] == Fraction(-1, 15)
-    assert link_matrix(tm).agrees
+    assert links_of(tm).agrees
     trace = link_structural(tm, build_structure_sets(tm.tree, tm.annotation), "1", "2")
     assert trace.rule == "(ii.c)" and trace.linked
 
@@ -274,7 +290,25 @@ def test_zero_pattern_zero_alpha_root_excluded_from_last_column():
     assert (1, 2) in pattern.predicted_nonzero_positions
     for i, j in pattern.predicted_nonzero_positions:
         assert minv[i, j] != 0
-    assert link_matrix(tm).agrees
+    assert links_of(tm).agrees
+
+
+@settings(max_examples=150)
+@given(annotated_trees())
+def test_links_and_zero_pattern_match_elimination_property(tm):
+    text = format_spec(tm.tree, tm.annotation)
+    assert format_spec(*parse_spec(text)) == text
+    try:
+        minv = tm.matrix.inverse()
+    except SingularMatrixError:
+        return
+    assert links_of(tm).agrees
+    pattern = zero_pattern(tm.tree, tm.annotation)
+    for i, j in pattern.predicted_zero_positions | pattern.triangular_zero_positions:
+        assert minv[i, j] == 0
+    if pattern.hypotheses_hold:
+        for i, j in pattern.predicted_nonzero_positions:
+            assert minv[i, j] != 0
 
 
 def test_zero_pattern_single_leaf():

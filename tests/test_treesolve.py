@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 
 from rootlink import (
     SingularMatrixError,
@@ -178,12 +178,7 @@ def test_report_raises_on_a_wrong_tree_inverse(six_tm, monkeypatch):
 # -- property: adversarial shapes and values -----------------------------------
 
 
-@settings(
-    max_examples=150,
-    deadline=None,
-    derandomize=True,  # the same examples on every run of the suite
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
+@settings(max_examples=150)
 @given(annotated_trees())
 def test_tree_inverse_matches_elimination_property(tm):
     _agrees_with_elimination(tm)
