@@ -70,10 +70,6 @@ class Annotation:
             {node: b for node, (_, b) in pairs.items()},
         )
 
-    @property
-    def nodes(self) -> frozenset[str]:
-        return frozenset(self._alpha) | frozenset(self._beta)
-
     def alpha(self, node: str) -> Fraction:
         try:
             return self._alpha[node]

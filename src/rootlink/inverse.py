@@ -58,11 +58,6 @@ class PotentialReport:
     nu: tuple[Fraction, ...]  # column sums
     mu_bar: Fraction  # total mass (sum of all entries)
 
-    @property
-    def nu_bar(self) -> Fraction:
-        """Total of the column sums; always equals :attr:`mu_bar`."""
-        return self.mu_bar
-
 
 def potentials(minv: RationalMatrix) -> PotentialReport:
     """Potentials of an (already inverted) matrix: mu rows, nu columns."""

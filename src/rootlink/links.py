@@ -22,7 +22,9 @@ that decided it.  Apart from side-root membership, a verdict depends only
 on the meet and the direction, so :func:`link_matrix` decides whole
 (meet, direction) blocks at once, compares them with the negative entries
 of the exact inverse its caller passes in, and traces only the pairs that
-disagree.
+disagree.  Once the links agree with an inverse whose off-diagonal entries
+are all ``<= 0``, the other off-diagonal entries are exactly its zeros, so
+the report checks the :func:`zero_pattern` prediction against the links.
 """
 
 from __future__ import annotations
@@ -176,10 +178,9 @@ def link_structural(
 
 @dataclass(frozen=True)
 class LinkReport:
-    """All-pairs structural verdicts with oracle cross-check."""
+    """All-pairs structural links and the traced pairs where the inverse disagrees."""
 
     links: frozenset[tuple[str, str]]
-    oracle_links: frozenset[tuple[str, str]]
     mismatches: tuple[LinkTrace, ...]  # in row-major leaf order
 
     @property
@@ -233,7 +234,6 @@ def link_matrix(
     leaves = tm.leaves
     _, nums = minv.integer_form()
     links = []
-    oracle_links = []
     bad = []
     for meet in tree.internal_nodes():
         lo, mid = tree.leaf_span(tree.minus(meet))
@@ -249,18 +249,15 @@ def link_matrix(
                 entries = nums[i]
                 for j in col_span:
                     linked = row_linked and leaves[j] in cols
-                    truth = entries[j] < 0
                     if linked:
                         links.append((row, leaves[j]))
-                    if truth:
-                        oracle_links.append((row, leaves[j]))
-                    if linked != truth:
+                    if linked != (entries[j] < 0):
                         bad.append((i, j))
     mismatches = tuple(
         link_structural(tm, sets, leaves[i], leaves[j])
         for i, j in sorted(bad)
     )
-    return LinkReport(frozenset(links), frozenset(oracle_links), mismatches)
+    return LinkReport(frozenset(links), mismatches)
 
 
 @dataclass(frozen=True)
@@ -288,10 +285,6 @@ class BlockPattern:
     predicted_zero_positions: frozenset[tuple[int, int]]  # leaf positions
     triangular_zero_positions: frozenset[tuple[int, int]]
     predicted_nonzero_positions: frozenset[tuple[int, int]]
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
 
 
 def zero_pattern(tree: DyadicTree, annotation: Annotation) -> BlockPattern:

@@ -7,10 +7,13 @@ and flags always produce byte-identical output.  The report takes its
 inverse from the tree in O(n^2) (:func:`~rootlink.treesolve.tree_inverse`),
 not from elimination, and certifies it with the exact product check
 :func:`~rootlink.treesolve.certify_inverse`, also O(n^2).  The structural
-verdicts read no inverse.  While the report is built, they, the
-tree-recursion masses behind the exit inequality and the transition kernel
-are checked against that one certified inverse.  Any disagreement, a
-failed certificate included, raises
+verdicts read no inverse.  Each claim is then checked once against that
+one certified inverse, in dependency order: the transition kernel's sign
+shape (no positive entry off the diagonal), the exit identity from the
+tree-recursion masses, roots, transpose roots and links.  The zero pattern
+comes last and is checked against the links: given the kernel's sign
+check and agreeing links, a predicted zero holds exactly when it is not a
+link.  Any disagreement, a failed certificate included, raises
 :class:`~rootlink.errors.TheoremMismatchError` carrying a counterexample
 dump instead of emitting a wrong document.
 """
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .build import Annotation, TreeMatrix
@@ -27,7 +29,7 @@ from .errors import EtaTooSmallError, TheoremMismatchError
 from .inverse import neumann_check, potentials, transition_kernel
 from .links import link_matrix, zero_pattern
 from .matrix import Rational, RationalMatrix
-from .roots import StructureSets, build_structure_sets, roots_structural, roots_transpose
+from .roots import build_structure_sets, roots_structural, roots_transpose
 from .specfile import format_spec
 from .tree import DyadicTree, TreeEdge
 from .treesolve import certify_inverse, tree_inverse
@@ -65,8 +67,8 @@ def build_report(
     Raises ``SingularMatrixError`` naming a node when the matrix is
     singular (exactly when some restriction is), ``EtaTooSmallError`` for
     an inadmissible ``eta``, and ``TheoremMismatchError`` when the tree
-    inverse fails its certificate or any structural verdict, the exit
-    identity or the kernel's sign shape disagrees with the inverse.
+    inverse fails its certificate or the kernel's sign shape, the exit
+    identity or any structural verdict disagrees with the inverse.
     An inverse that ``tm.matrix`` keeps is neither read nor replaced: the
     report always computes and certifies its own.
     """
@@ -85,81 +87,71 @@ def build_report(
         )
     # The structural verdicts below read no inverse; each is compared with this one.
     minv = RationalMatrix.from_integer_form(denom, nums)
+
+    def mismatch(detail: str) -> TheoremMismatchError:
+        return TheoremMismatchError(_counterexample(tm, minv.rows, detail))
+
+    # The kernel's sign check certifies that no off-diagonal entry of the
+    # inverse is positive; the zero check below relies on it.
+    try:
+        kernel = transition_kernel(minv, eta)
+    except EtaTooSmallError:
+        raise
+    except ValueError as exc:
+        raise mismatch(f"transition kernel: {exc}") from exc
+
     pot = potentials(minv)
     sets = build_structure_sets(tree, tm.annotation)
     structural = roots_structural(tm, sets)
     exit_report = structural.exit
     assert exit_report is not None  # the root restriction is the matrix itself
     if pot.mu[-1] != exit_report.lhs - exit_report.rhs:
-        raise TheoremMismatchError(
-            _counterexample(
-                tm,
-                minv.rows,
-                f"fixed-leaf row sum {pot.mu[-1]} != "
-                f"lhs - rhs = {exit_report.lhs} - {exit_report.rhs}",
-            )
+        raise mismatch(
+            f"fixed-leaf row sum {pot.mu[-1]} != "
+            f"lhs - rhs = {exit_report.lhs} - {exit_report.rhs}"
         )
 
     oracle_roots = frozenset(
         leaf for leaf, m in zip(leaves, pot.mu) if m > 0
     )
     if structural.roots != oracle_roots:
-        raise TheoremMismatchError(
-            _counterexample(
-                tm,
-                minv.rows,
-                f"structural roots {sorted(structural.roots)} != "
-                f"positive-mu leaves {sorted(oracle_roots)}",
-            )
+        raise mismatch(
+            f"structural roots {sorted(structural.roots)} != "
+            f"positive-mu leaves {sorted(oracle_roots)}"
         )
     transpose = roots_transpose(tree, sets)
     oracle_transpose = frozenset(
         leaf for leaf, v in zip(leaves, pot.nu) if v > 0
     )
     if transpose != oracle_transpose:
-        raise TheoremMismatchError(
-            _counterexample(
-                tm,
-                minv.rows,
-                f"structural transpose roots {sorted(transpose)} != "
-                f"positive-nu leaves {sorted(oracle_transpose)}",
-            )
+        raise mismatch(
+            f"structural transpose roots {sorted(transpose)} != "
+            f"positive-nu leaves {sorted(oracle_transpose)}"
         )
 
     link_report = link_matrix(tm, sets, minv)
     if not link_report.agrees:
         bad = link_report.mismatches[0]
         entry = minv[tree.leaf_index(bad.row), tree.leaf_index(bad.col)]
-        raise TheoremMismatchError(
-            _counterexample(
-                tm,
-                minv.rows,
-                f"link verdict for ({bad.row}, {bad.col}) is {bad.linked} but "
-                f"inverse entry is {entry} (matrix entry {bad.entry}); "
-                "trace: " + "; ".join(bad.steps),
-            )
+        raise mismatch(
+            f"link verdict for ({bad.row}, {bad.col}) is {bad.linked} but "
+            f"inverse entry is {entry} (matrix entry {bad.entry}); "
+            "trace: " + "; ".join(bad.steps)
         )
 
+    # The links are exactly the negative entries and none off the diagonal
+    # is positive, so a predicted zero holds exactly when it is not a link.
+    links = sorted(
+        (tree.leaf_index(row), tree.leaf_index(col)) for row, col in link_report.links
+    )
     pattern = zero_pattern(tree, tm.annotation)
-    for i, j in sorted(pattern.predicted_zero_positions | pattern.triangular_zero_positions):
-        if minv[i, j] != 0:
-            raise TheoremMismatchError(
-                _counterexample(
-                    tm,
-                    minv.rows,
-                    f"predicted zero at ({leaves[i]}, {leaves[j]}) "
-                    f"but inverse entry is {minv[i, j]}",
-                )
+    zeros = pattern.predicted_zero_positions | pattern.triangular_zero_positions
+    for i, j in links:
+        if (i, j) in zeros:
+            raise mismatch(
+                f"predicted zero at ({leaves[i]}, {leaves[j]}) "
+                f"but inverse entry is {minv[i, j]}"
             )
-
-    try:
-        kernel = transition_kernel(minv, eta)
-    except EtaTooSmallError:
-        raise
-    except ValueError as exc:
-        raise TheoremMismatchError(
-            _counterexample(tm, minv.rows, f"transition kernel: {exc}")
-        ) from exc
 
     doc: dict = {
         "leaves": list(leaves),
@@ -174,22 +166,14 @@ def build_report(
         "gamma_t": _edge_list(sets.gamma_t, tree),
         "n_exiting": exit_report.exiting,
         "row_dominant": exit_report.row_dominant,
-        "links": [
-            list(pair)
-            for pair in sorted(
-                link_report.links,
-                key=lambda p: (tree.leaf_index(p[0]), tree.leaf_index(p[1])),
-            )
-        ],
+        "links": [[leaves[i], leaves[j]] for i, j in links],
         "zero_blocks": [list(block) for block in pattern.blocks],
         "eta": str(kernel.eta),
     }
     if neumann is not None:
         result = neumann_check(tm, kernel, neumann)
         if not result.ok:
-            raise TheoremMismatchError(
-                _counterexample(tm, minv.rows, "; ".join(result.messages))
-            )
+            raise mismatch("; ".join(result.messages))
         doc["neumann_steps"] = neumann
         doc["neumann_gaps"] = list(result.gaps)
     return doc
@@ -248,11 +232,7 @@ def _dot_id(name: str) -> str:
     return f'"{escaped}"'
 
 
-def render_dot(
-    tree: DyadicTree,
-    annotation: Annotation,
-    sets: Optional[StructureSets] = None,
-) -> str:
+def render_dot(tree: DyadicTree, annotation: Annotation) -> str:
     """Emit a deterministic DOT digraph of the annotated tree.
 
     Every node is labeled ``id (alpha,beta)``.  Minus edges are emitted
@@ -260,8 +240,7 @@ def render_dot(
     bold, ``gamma`` membership is dashed red, ``gamma_t`` membership dotted
     blue; an edge in several classes gets quoted style/color lists.
     """
-    if sets is None:
-        sets = build_structure_sets(tree, annotation)
+    sets = build_structure_sets(tree, annotation)
     spine = tree.spine()
     spine_edges = {
         TreeEdge(parent, child) for parent, child in zip(spine, spine[1:])

@@ -199,8 +199,7 @@ class StructuralRootSet:
     roots: frozenset[str]  # full verdict set, fixed leaf included when exiting
     blocked: tuple[tuple[str, TreeEdge], ...]  # leaf -> first blocking edge
     fixed_leaf: str
-    fixed_decided_by_exit: bool
-    exit: Optional[ExitReport]  # present when the exit inequality was used
+    exit: Optional[ExitReport]  # present exactly when ``node`` is on the spine
 
 
 def roots_structural(
@@ -251,7 +250,6 @@ def roots_structural(
         roots,
         tuple(blocked),
         fixed,
-        on_spine,
         exit_report,
     )
 

@@ -59,6 +59,8 @@ __all__ = [
     "regression_instances",
 ]
 
+MAX_RECORDED_FAILURES = 10  # failures kept with a minimized reproducer
+
 
 def _singular(ctx: RestrictionCache) -> bool:
     try:
@@ -668,15 +670,13 @@ def run_selftest(
     max_leaves: int,
     seed: int = 0,
     strictness: str = "lax",
-    min_leaves: int = 1,
     include_regression: bool = True,
-    max_recorded_failures: int = 10,
 ) -> SelftestOutcome:
     """Run every suite over ``cases`` random instances plus the fixed corpus.
 
     ``strictness`` is ``"lax"``, ``"strict"`` or ``"mixed"`` (alternate per
     case).  Singular draws are skipped and counted.  Failures (up to
-    ``max_recorded_failures``) carry a minimized reproducer document.
+    ``MAX_RECORDED_FAILURES``) carry a minimized reproducer document.
     """
     if cases < 1 or max_leaves < 1:
         raise ValueError("need cases >= 1 and max_leaves >= 1")
@@ -706,7 +706,7 @@ def run_selftest(
                 count.passes += 1
                 continue
             count.failures += 1
-            if len(outcome.failures) < max_recorded_failures:
+            if len(outcome.failures) < MAX_RECORDED_FAILURES:
                 minimized = _minimize(ctx, suite)
                 outcome.failures.append(
                     SelftestFailure(
@@ -723,7 +723,7 @@ def run_selftest(
         mode = strictness
         if strictness == "mixed":
             mode = "strict" if idx % 2 else "lax"
-        tree, annotation = random_instance(case_seed, max_leaves, mode, min_leaves)
+        tree, annotation = random_instance(case_seed, max_leaves, mode)
         run_instance(f"case {idx}", case_seed, tree, annotation)
 
     if include_regression:

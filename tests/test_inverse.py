@@ -67,7 +67,6 @@ def test_six_leaf_potentials(six_inverse):
     )
     assert pot.nu == (0, 0, 0, 0, 0, Fraction(1, 4))
     assert pot.mu_bar == Fraction(1, 4)
-    assert pot.nu_bar == pot.mu_bar
 
 
 def test_inverse_sign_structure(six_inverse):

@@ -63,7 +63,16 @@ def all_traces(tm, sets):
 def test_six_leaf_links(six_tm, six_sets):
     report = links_of(six_tm)
     assert report.agrees
-    assert report.links == report.oracle_links == frozenset(SIX_LEAF_LINKS)
+    assert report.links == frozenset(SIX_LEAF_LINKS)
+    minv = six_tm.matrix.inverse()
+    leaves = six_tm.leaves
+    negative = {
+        (row, col)
+        for i, row in enumerate(leaves)
+        for j, col in enumerate(leaves)
+        if minv[i, j] < 0
+    }
+    assert negative == SIX_LEAF_LINKS
     traces = all_traces(six_tm, six_sets)
     assert len(traces) == 30  # all ordered pairs
     assert {(t.row, t.col) for t in traces if t.linked} == SIX_LEAF_LINKS
@@ -244,7 +253,6 @@ def test_four_leaf_tie_survives():
 def test_zero_pattern_six_leaf(six_tm, six_inverse):
     pattern = zero_pattern(six_tm.tree, six_tm.annotation)
     assert pattern.blocks == (("1", "2"), ("3", "4"), ("5",), ("6",))
-    assert pattern.block_count == 4
     assert pattern.predicted_zero_pairs == frozenset(
         {(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
     )
@@ -302,10 +310,13 @@ def test_links_and_zero_pattern_match_elimination_property(tm):
         minv = tm.matrix.inverse()
     except SingularMatrixError:
         return
-    assert links_of(tm).agrees
+    report = links_of(tm)
+    assert report.agrees
     pattern = zero_pattern(tm.tree, tm.annotation)
+    leaves = tm.leaves
     for i, j in pattern.predicted_zero_positions | pattern.triangular_zero_positions:
         assert minv[i, j] == 0
+        assert (leaves[i], leaves[j]) not in report.links
     if pattern.hypotheses_hold:
         for i, j in pattern.predicted_nonzero_positions:
             assert minv[i, j] != 0

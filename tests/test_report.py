@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -184,6 +185,25 @@ def test_report_kernel_value_error_carries_counterexample(six_tm, monkeypatch):
     text = str(err.value)
     assert "transition kernel: kernel column 0 sums to 2 > 1" in text
     assert '"root": "I"' in text
+    assert "inverse:" in text
+
+
+def test_report_zero_check_reads_the_links(six_tm, monkeypatch):
+    import rootlink.report as report_mod
+
+    real = report_mod.link_matrix
+
+    def extra_link(tm, sets, minv):
+        report = real(tm, sets, minv)
+        return replace(report, links=report.links | {("1", "3")})
+
+    # (1, 3) lies in a predicted zero block and its inverse entry is 0, so
+    # only a check against the links catches the extra link.
+    monkeypatch.setattr(report_mod, "link_matrix", extra_link)
+    with pytest.raises(TheoremMismatchError) as err:
+        build_report(six_tm)
+    text = str(err.value)
+    assert "predicted zero at (1, 3) but inverse entry is 0" in text
     assert "inverse:" in text
 
 

@@ -54,7 +54,7 @@ def test_six_leaf_edge_sets(six_sets):
 def test_six_leaf_roots(six_tm, six_sets):
     structural = roots_structural(six_tm, six_sets)
     assert structural.roots == frozenset({"1", "3", "5"})
-    assert structural.fixed_decided_by_exit
+    assert structural.exit is not None
     blocked = dict(structural.blocked)
     assert blocked["2"] == TreeEdge("A", "2")
     assert blocked["4"] == TreeEdge("C", "4")
@@ -124,7 +124,7 @@ def _matches_path_tests(tm) -> None:
             continue
         assert verdict.blocked == blocked[node]
         fixed = verdict.fixed_leaf
-        if verdict.fixed_decided_by_exit:
+        if verdict.exit is not None:
             assert verdict.roots - {fixed} == roots[node] - {fixed}
             assert (fixed in verdict.roots) == verdict.exit.exiting
         else:
@@ -217,7 +217,6 @@ def test_off_spine_restriction_roots_cover_all_leaves():
     sets = build_structure_sets(tm.tree, tm.annotation)
     result = roots_structural(tm, sets, "M")
     assert result.roots == frozenset({"1", "2", "3"})
-    assert not result.fixed_decided_by_exit
     assert result.exit is None
     assert roots_transpose(tm.tree, sets, "M") == frozenset({"1", "2", "3"})
 
